@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .code import CyclicCode
 from .construct import multiplier_subgroup, multiplier, shift
 from .gf2poly import factor_xn_minus_1, parse_poly_product
-from .group import build_group, filter_generators
+from .group import build_group
 from .manifest import (
     BRUTE_FORCE_MAX_N,
     default_manifest_path,
@@ -25,7 +25,7 @@ from .manifest import (
     report_record,
     run_entry,
 )
-from .verify import brute_force_aut, is_automorphism
+from .verify import brute_force_group, is_automorphism
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,11 +115,11 @@ def _cmd_code_info(args) -> int:
 
 def _cmd_aut_brute(args) -> int:
     code = CyclicCode(args.n, parse_poly_product(args.generator))
-    autos = brute_force_aut(code, args.max_n)
+    autos, reduced = brute_force_group(code, args.max_n)
     lines = [str(len(autos))]
     payload = {"n": args.n, "generator": str(code.generator), "order": str(len(autos))}
     if args.emit_gens:
-        gens = [str(p) for p in filter_generators(autos, code.length)]
+        gens = [str(p) for p in reduced]
         lines.extend(gens)
         payload["generators"] = gens
     _emit(args, payload, lines)

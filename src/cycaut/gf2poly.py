@@ -245,7 +245,8 @@ def factor_xn_minus_1(n: int) -> list[tuple[Gf2Poly, int]]:
             continue
         remaining = _divmod_bits(remaining, gd)[0]
         factors.extend(_equal_degree_split(gd, d, rng))
-    assert remaining == 1, "factorization did not exhaust x^m + 1"
+    if remaining != 1:
+        raise RuntimeError(f"factorization did not exhaust x^{m} + 1")
     factors.sort(key=lambda f: (f.bit_length(), f))
     return [(Gf2Poly(f), mult) for f in factors]
 

@@ -11,20 +11,42 @@ far beyond 64 bits are fine.
 Everything is deterministic: base points are chosen greedily as the
 smallest point moved by the generator that opens a level, orbits grow in
 a fixed exploration order, and transversal representatives are assigned
-write-once.  Schreier generators are sifted incrementally with a
-processed-pair memo so no pair is examined twice.
+write-once.
+
+Schreier generators are sifted incrementally, pair by pair, and no pair
+is examined twice.  A level keeps one counter per generator: the length
+of the prefix of its orbit order already paired with that generator.
+The orbit order only grows at its end, so the pairs done for a generator
+are always such a prefix.
+
+The pair (s, base) is skipped when s fixes the base.  Its Schreier
+generator is s itself, and s is also a generator of the next level.  A
+stored generator is a sifted residue: it fixes the bases of the levels
+before the one where its sift got stuck, moves the base of that one, and
+is stored at every level down to it.  The deeper levels are complete
+whenever a level's pairs are sifted, so s would sift to the identity.
+Only this pair is redundant.  The other pairs of an s that fixes the
+base are not: for <(1,2,3,4), (2,3)> = S_4 at base 1, the pairs of (2,3)
+alone would give a stabilizer of order 2, not 6.  The skip saves work
+without changing the chain.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from random import Random
 
 from .perm import Permutation
 
 
 def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Composition a(b(i)); b applies first."""
-    return tuple(map(a.__getitem__, b))
+    """Composition a(b(i)); b applies first.
+
+    Needs degree >= 2: itemgetter returns a scalar for one index and
+    raises for none.  A chain of degree < 2 has no levels, so it never
+    composes.
+    """
+    return itemgetter(*b)(a)
 
 
 def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -35,7 +57,7 @@ def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _Level:
-    __slots__ = ("base", "gens", "orbit", "orbit_order", "pending", "scanned", "processed")
+    __slots__ = ("base", "gens", "orbit", "orbit_order", "pending", "scanned", "paired")
 
     def __init__(self, base: int, identity: tuple[int, ...]):
         self.base = base
@@ -44,7 +66,7 @@ class _Level:
         self.orbit_order = [base]
         self.pending = [base]
         self.scanned = 0  # gens already applied to every settled orbit point
-        self.processed: set[tuple[int, int]] = set()  # (gen index, point) pairs sifted
+        self.paired: list[int] = []  # per gen: orbit_order prefix already sifted
 
 
 class _Chain:
@@ -94,16 +116,15 @@ class _Chain:
         Membership holds iff the residue is the identity (stuck == len).
         """
         levels = self.levels
-        i = start
-        while i < len(levels):
+        for i in range(start, len(levels)):
             lvl = levels[i]
-            p = g[lvl.base]
-            if p != lvl.base:
+            base = lvl.base
+            p = g[base]
+            if p != base:
                 entry = lvl.orbit.get(p)
                 if entry is None:
                     return g, i
                 g = _mul(entry[1], g)
-            i += 1
         return g, len(levels)
 
     def _ingest(self, g, first: int, stuck: int) -> int:
@@ -114,7 +135,9 @@ class _Chain:
             self.levels.append(_Level(base, self.identity))
         ginv = _inv(g)
         for j in range(first, stuck + 1):
-            self.levels[j].gens.append((g, ginv))
+            lvl = self.levels[j]
+            lvl.gens.append((g, ginv))
+            lvl.paired.append(0)
         return stuck
 
     def _process(self) -> None:
@@ -154,23 +177,28 @@ class _Chain:
         residue, ingest it and return the deepest level it reached."""
         lvl = self.levels[i]
         identity = self.identity
+        base = lvl.base
         orbit = lvl.orbit
-        processed = lvl.processed
-        for gi in range(len(lvl.gens)):
-            s, _ = lvl.gens[gi]
-            for p in lvl.orbit_order:
-                key = (gi, p)
-                if key in processed:
-                    continue
-                processed.add(key)
-                up = orbit[p][0]
-                uspinv = orbit[s[p]][1]
-                sigma = _mul(uspinv, _mul(s, up))
+        order = lvl.orbit_order
+        paired = lvl.paired
+        end = len(order)
+        for gi, (s, _) in enumerate(lvl.gens):
+            start = paired[gi]
+            if start == end:
+                continue
+            paired[gi] = end
+            for k in range(start, end):
+                p = order[k]
+                sp = s[p]
+                if p == base and sp == base:
+                    continue  # the Schreier generator is s, a next-level generator
+                sigma = _mul(orbit[sp][1], _mul(s, orbit[p][0]))
                 if sigma == identity:
                     continue
                 residue, stuck = self._sift(sigma, i + 1)
                 if residue == identity:
                     continue
+                paired[gi] = k + 1
                 return self._ingest(residue, i + 1, stuck)
         return None
 
@@ -209,6 +237,10 @@ class PermGroup:
 
     def base_points(self) -> list[int]:
         return self._chain.base_points()
+
+    def orbit_sizes(self) -> list[int]:
+        """Basic orbit sizes, one per base point; their product is the order."""
+        return [len(lvl.orbit) for lvl in self._chain.levels]
 
     def __repr__(self) -> str:
         return f"<PermGroup degree={self.degree} order={self._order}>"

@@ -55,9 +55,9 @@ from .construct import (
     shift,
 )
 from .gf2poly import parse_poly_product
-from .group import build_group, filter_generators
+from .group import build_group
 from .perm import Permutation, parse_cycles
-from .verify import BRUTE_FORCE_MAX_N, VerificationReport, brute_force_aut, verify_claim
+from .verify import BRUTE_FORCE_MAX_N, VerificationReport, brute_force_group, verify_claim
 
 MANIFEST_ENV_VAR = "CYCAUT_MANIFEST"
 METHODS = ("brute", "construct", "multiplier", "containment")
@@ -116,8 +116,7 @@ def expand_source(source: dict, cache: dict | None = None) -> list[Permutation]:
         return [parse_cycles(text, degree) for text in source["cycles"]]
     if kind == "brute":
         code = _code_for(source["n"], source["generator"])
-        autos = _cached_brute(code, BRUTE_FORCE_MAX_N, cache)
-        return filter_generators(autos, code.length)
+        return list(_cached_brute(code, BRUTE_FORCE_MAX_N, cache)[1])
     if kind == "shift_multipliers":
         code = _code_for(source["n"], source["generator"])
         n = code.length
@@ -130,12 +129,15 @@ def expand_source(source: dict, cache: dict | None = None) -> list[Permutation]:
     raise ValueError(f"unknown inner source {kind!r}")
 
 
-def _cached_brute(code: CyclicCode, max_n: int, cache: dict | None) -> list[Permutation]:
+def _cached_brute(
+    code: CyclicCode, max_n: int, cache: dict | None
+) -> tuple[list[Permutation], list[Permutation]]:
+    """`brute_force_group` of the code, once per run cache."""
     if cache is None:
-        return brute_force_aut(code, max_n)
+        return brute_force_group(code, max_n)
     key = ("brute", code.length, code.generator.bits)
     if key not in cache:
-        cache[key] = brute_force_aut(code, max_n)
+        cache[key] = brute_force_group(code, max_n)
     return cache[key]
 
 
@@ -254,7 +256,7 @@ def run_entry(
 
     if method == "brute":
         t0 = perf_counter()
-        autos = _cached_brute(code, max_brute_n, cache)
+        autos = _cached_brute(code, max_brute_n, cache)[0]
         report = VerificationReport(
             name=name,
             n=code.length,

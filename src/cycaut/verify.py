@@ -45,6 +45,16 @@ def is_automorphism(code: CyclicCode, p: Permutation) -> bool:
 def brute_force_aut(code: CyclicCode, max_n: int = BRUTE_FORCE_MAX_N) -> list[Permutation]:
     """All automorphisms of the code, by exhausting S_n in lexicographic
     one-line order.  Guarded by max_n; the count grows as n!."""
+    return brute_force_group(code, max_n)[0]
+
+
+def brute_force_group(
+    code: CyclicCode, max_n: int = BRUTE_FORCE_MAX_N
+) -> tuple[list[Permutation], list[Permutation]]:
+    """All automorphisms of the code (as `brute_force_aut`) and their
+    `filter_generators` reduction.  Raises RuntimeError unless the
+    reduction generates a group of exactly as many elements as were found,
+    i.e. the collected set is closed."""
     n = code.length
     if n > max_n:
         raise ValueError(
@@ -70,10 +80,14 @@ def brute_force_aut(code: CyclicCode, max_n: int = BRUTE_FORCE_MAX_N) -> list[Pe
                 break
         else:
             autos.append(Permutation(images))
-    # closure sanity: the collected set generates exactly itself
-    grp = build_group(filter_generators(autos, n), degree=n)
-    assert grp.order() == len(autos), "brute-forced automorphism set is not a group"
-    return autos
+    gens = filter_generators(autos, n)
+    order = build_group(gens, degree=n).order()
+    if order != len(autos):
+        raise RuntimeError(
+            f"brute-forced automorphism set is not a group: "
+            f"{len(autos)} elements generate order {order}"
+        )
+    return autos, gens
 
 
 def sample_outside(code: CyclicCode, group: PermGroup, trials: int, seed: int) -> int:

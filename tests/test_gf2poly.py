@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import cycaut.gf2poly as gf2poly
 from cycaut.gf2poly import (
     Gf2Poly,
     ONE,
@@ -158,6 +159,13 @@ class TestFactorXnMinus1:
     def test_n0_rejected(self):
         with pytest.raises(ValueError):
             factor_xn_minus_1(0)
+
+    def test_unexhausted_factorization_raises(self, monkeypatch):
+        # cosets of size 1 only: the two cubic factors of x^7+1 are never split
+        # off, and the check must survive python -O, so it is an exception
+        monkeypatch.setattr(gf2poly, "_cyclotomic_cosets", lambda m: [[0]])
+        with pytest.raises(RuntimeError, match="did not exhaust"):
+            factor_xn_minus_1(7)
 
     @pytest.mark.parametrize("n", list(range(1, 41)) + [49, 62, 63, 98, 105])
     def test_invariants(self, n):

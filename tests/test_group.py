@@ -101,6 +101,67 @@ class TestFilterGenerators:
         assert filter_generators([], 5) == []
 
 
+class TestBasePairSkip:
+    """The chain skips the Schreier pair (s, base) of a generator s that
+    fixes the base, and only that pair."""
+
+    def test_s4_from_four_cycle_and_transposition(self):
+        grp = G("(1,2,3,4)", "(2,3)", degree=4)
+        assert grp.order() == 24
+        assert grp.base_points()[0] == 0
+        assert grp.orbit_sizes() == [4, 3, 2]
+        # the point stabilizer of 1, built from the chain's next level, is
+        # S_3 on {2,3,4}; the pairs of (2,3) alone would give order 2
+        stab = build_group(
+            [Permutation(g) for g, _ in grp._chain.levels[1].gens], degree=4
+        )
+        assert stab.order() == 6
+        assert all(g.images[0] == 0 for g in stab.generators)
+
+    def test_generators_fixing_the_first_base(self):
+        # (3,4) and (4,5) fix the first base 1; the stabilizer is S_4 on {2..5}
+        assert G("(1,2)", "(2,3)", "(3,4)", "(4,5)", degree=5).order() == 120
+        assert G("(3,4)", "(1,2,3)", "(4,5)", degree=5).order() == 120
+
+
+class TestSmallDegrees:
+    """Degrees 0, 1 and 2, where a tuple composition has zero, one or two
+    indices."""
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_trivial_degrees(self, degree):
+        e = Permutation.identity(degree)
+        for grp in (build_group([], degree=degree), build_group([e])):
+            assert grp.order() == 1
+            assert grp.base_points() == []
+            assert grp.contains(e)
+            assert grp.random_element(3) == e
+        assert filter_generators([e, e], degree) == []
+
+    def test_degree_two(self):
+        e = Permutation.identity(2)
+        t = parse_cycles("(1,2)", 2)
+        trivial = build_group([e])
+        assert trivial.order() == 1
+        assert not trivial.contains(t)
+        assert trivial.random_element(0) == e
+        grp = build_group([t])
+        assert grp.order() == 2
+        assert grp.base_points() == [0]
+        assert grp.contains(e) and grp.contains(t)
+        assert {grp.random_element(seed) for seed in range(20)} == {e, t}
+        assert filter_generators([e, t, t], 2) == [t]
+
+
+def _subrange_perm(data, n):
+    """A permutation of a sub-range [lo, hi) of 0..n-1, fixing the rest.
+    It fixes the low points that the chain picks as its first bases."""
+    lo = data.draw(st.integers(min_value=0, max_value=n - 2))
+    hi = data.draw(st.integers(min_value=lo + 2, max_value=n))
+    inner = data.draw(st.permutations(range(lo, hi)))
+    return Permutation(tuple(range(lo)) + tuple(inner) + tuple(range(hi, n)))
+
+
 class TestAgainstSympy:
     """Cross-check order and membership against an independent engine."""
 
@@ -108,12 +169,9 @@ class TestAgainstSympy:
     @settings(max_examples=30, deadline=None)
     def test_order_matches_sympy(self, data):
         sympy_perms = pytest.importorskip("sympy.combinatorics")
-        n = data.draw(st.integers(min_value=2, max_value=8))
+        n = data.draw(st.integers(min_value=2, max_value=12))
         k = data.draw(st.integers(min_value=1, max_value=3))
-        gens = [
-            Permutation(tuple(data.draw(st.permutations(range(n)))))
-            for _ in range(k)
-        ]
+        gens = [_subrange_perm(data, n) for _ in range(k)]
         ours = build_group(gens, degree=n).order()
         theirs = sympy_perms.PermutationGroup(
             [sympy_perms.Permutation(list(g.images)) for g in gens]
@@ -124,12 +182,11 @@ class TestAgainstSympy:
     @settings(max_examples=20, deadline=None)
     def test_membership_matches_sympy(self, data):
         sympy_perms = pytest.importorskip("sympy.combinatorics")
-        n = data.draw(st.integers(min_value=2, max_value=7))
-        gens = [
-            Permutation(tuple(data.draw(st.permutations(range(n)))))
-            for _ in range(2)
-        ]
-        candidate = Permutation(tuple(data.draw(st.permutations(range(n)))))
+        n = data.draw(st.integers(min_value=2, max_value=12))
+        gens = [_subrange_perm(data, n) for _ in range(2)]
+        candidate = _subrange_perm(data, n)
+        if data.draw(st.booleans()):
+            candidate = gens[0] * gens[1]
         ours = build_group(gens, degree=n).contains(candidate)
         theirs = sympy_perms.PermutationGroup(
             [sympy_perms.Permutation(list(g.images)) for g in gens]

@@ -3,11 +3,14 @@ import pytest
 from cycaut.code import Codeword, CyclicCode, apply_to_word
 from cycaut.construct import multiplier, pair_swap, shift
 from cycaut.gf2poly import divisors_of_xn_minus_1, parse_poly, parse_poly_product
+import cycaut.manifest as manifest_module
+import cycaut.verify as verify_module
 from cycaut.group import build_group, filter_generators
-from cycaut.manifest import expand_constructions
+from cycaut.manifest import default_manifest_path, expand_constructions, load_manifest, run_entry
 from cycaut.perm import Permutation, parse_cycles
 from cycaut.verify import (
     brute_force_aut,
+    brute_force_group,
     is_automorphism,
     sample_outside,
     verify_claim,
@@ -68,6 +71,37 @@ class TestBruteForce:
         assert shift(7) in autos
         aset = {a.images for a in autos}
         assert all(a.inverse().images in aset for a in autos)
+
+    def test_group_reduction_generates_all(self):
+        autos, gens = brute_force_group(HAMMING)
+        assert autos == brute_force_aut(HAMMING)
+        assert gens == filter_generators(autos, 7)
+        assert build_group(gens, degree=7).order() == 168
+
+    def test_closure_failure_raises(self, monkeypatch):
+        # the check must survive python -O, so it is an exception, not an assert
+        monkeypatch.setattr(verify_module, "filter_generators", lambda perms, n: [shift(n)])
+        with pytest.raises(RuntimeError, match="not a group"):
+            brute_force_aut(HAMMING)
+
+    def test_one_reduction_per_code_per_run(self, monkeypatch):
+        calls = []
+        real = verify_module.filter_generators
+
+        def counting(perms, degree=None):
+            calls.append(degree)
+            return real(perms, degree)
+
+        # every module that may reduce, so a reduction outside verify counts too
+        monkeypatch.setattr(verify_module, "filter_generators", counting)
+        monkeypatch.setattr(manifest_module, "filter_generators", counting, raising=False)
+        entries = {e["name"]: e for e in load_manifest(default_manifest_path())}
+        cache = {}
+        # the brute claim and the brute inner sources of the length-14 and
+        # length-49 constructions are all the same length-7 code
+        for name in ("len7-cubic-product", "len14-cubic-product", "len49-block-rows"):
+            assert run_entry(entries[name], cache=cache).passed
+        assert calls == [7]
 
 
 class TestSampleOutside:
