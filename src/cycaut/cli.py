@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .code import CyclicCode
 from .construct import multiplier_subgroup, multiplier, shift
 from .gf2poly import factor_xn_minus_1, parse_poly_product
-from .group import build_group
+from .group import build_group, exact_order
 from .manifest import (
     BRUTE_FORCE_MAX_N,
     default_manifest_path,
@@ -24,6 +23,7 @@ from .manifest import (
     load_manifest,
     report_record,
     run_entry,
+    validate_constructions,
 )
 from .verify import brute_force_group, is_automorphism
 
@@ -115,9 +115,9 @@ def _cmd_code_info(args) -> int:
 
 def _cmd_aut_brute(args) -> int:
     code = CyclicCode(args.n, parse_poly_product(args.generator))
-    autos, reduced = brute_force_group(code, args.max_n)
-    lines = [str(len(autos))]
-    payload = {"n": args.n, "generator": str(code.generator), "order": str(len(autos))}
+    count, reduced = brute_force_group(code, args.max_n)
+    lines = [str(count)]
+    payload = {"n": args.n, "generator": str(code.generator), "order": str(count)}
     if args.emit_gens:
         gens = [str(p) for p in reduced]
         lines.extend(gens)
@@ -135,14 +135,14 @@ def _cmd_aut_construct(args) -> int:
     else:
         with open(args.spec_file, encoding="utf-8") as fh:
             specs = json.load(fh)
+    validate_constructions(specs, "--spec" if args.spec else "--spec-file")
     code = CyclicCode(args.n, parse_poly_product(args.generator))
     generators = expand_constructions(code, specs, cache={})
     for label, p in generators:
         if not is_automorphism(code, p):
             print(f"FAIL: generator {label} = {p} is not an automorphism", file=sys.stderr)
             return 1
-    grp = build_group([p for _, p in generators], degree=code.length)
-    order = grp.order()
+    order, _ = exact_order([p for _, p in generators], code.length)
     lines = [str(order)]
     payload = {"n": args.n, "generator": str(code.generator), "order": str(order)}
     if args.emit_gens:
@@ -194,6 +194,10 @@ def _cmd_verify_table(args) -> int:
         entries = [e for e in entries if args.filter in e["name"]]
     tasks = [(entry, args.max_n, args.seed) for entry in entries]
     if args.jobs > 1 and len(tasks) > 1:
+        # imported here: the process-pool machinery adds about 2 MB and 30
+        # modules to every run, and only parallel runs use it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records = list(pool.map(_run_entry_record, tasks))
     else:

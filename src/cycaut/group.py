@@ -29,10 +29,26 @@ Only this pair is redundant.  The other pairs of an s that fixes the
 base are not: for <(1,2,3,4), (2,3)> = S_4 at base 1, the pairs of (2,3)
 alone would give a stabilizer of order 2, not 6.  The skip saves work
 without changing the chain.
+
+`block_order` finds the exact order of many large groups without a
+chain of their degree.  Split the points 0..n-1 into the c residue
+classes mod c, each of size k = n/c.  When every generator maps classes
+onto classes, the group G acts on the classes, with image G^D (the block
+action) and kernel K, so |G| = |G^D| * |K|, and K lies inside the product
+of the symmetric groups Sym(B) of the classes B.  When some generators
+that move the points of one class B only generate all of Sym(B), then G
+contains Sym(B), and so its conjugates Sym(g(B)) for every g in G.  Once
+these classes cover all c, K is the whole product, |K| = (k!)^c, and only
+the degree-c chain of G^D is left to build (Seress, Permutation Group
+Algorithms, 2003, on block systems and kernels).  The word matrices of
+the block-rows and residue-rows constructions are such systems: their
+rows are permuted freely within each column, and the columns are the
+classes mod the number of columns (or mod the number of rows).
 """
 
 from __future__ import annotations
 
+from math import factorial
 from operator import itemgetter
 from random import Random
 
@@ -250,19 +266,123 @@ def build_group(generators, degree: int | None = None) -> PermGroup:
     return PermGroup(generators, degree)
 
 
+def exact_order(generators, degree: int) -> tuple[int, dict]:
+    """Exact order of the group the permutations generate, and how it
+    was found: by `block_order` when it applies, else by a chain of the
+    full degree (see `chain_order`)."""
+    generators = list(generators)
+    found = block_order(generators, degree)
+    if found is not None:
+        return found
+    return chain_order(PermGroup(generators, degree))
+
+
+def chain_order(group: PermGroup) -> tuple[int, dict]:
+    """The order of a built group, with its chain's shape."""
+    return group.order(), {
+        "path": "chain",
+        "base_len": len(group.base_points()),
+        "orbit_sizes": group.orbit_sizes(),
+    }
+
+
+def block_order(generators, degree: int) -> tuple[int, dict] | None:
+    """Exact order of <generators> through a residue-class block system
+    (see the module docstring), or None when no system mod c, 1 < c <
+    degree, meets the conditions.  The details name the classes, their
+    size and the order of the block action."""
+    gens = [g.images for g in generators]
+    if any(len(g) != degree for g in gens):
+        raise ValueError("generators have mixed degrees")
+    for c in range(degree - 1, 1, -1):  # small classes first: cheaper Sym checks
+        if degree % c == 0:
+            found = _residue_block_order(gens, degree, c)
+            if found is not None:
+                return found
+    return None
+
+
+def _residue_block_order(gens, n: int, c: int) -> tuple[int, dict] | None:
+    k = n // c
+    identity = tuple(range(n))
+    fixed = tuple(range(c))
+    tops = []
+    local: list[list[tuple[int, ...]]] = [[] for _ in range(c)]
+    for g in gens:
+        top = _class_images(g, c)
+        if top is None:
+            return None
+        tops.append(top)
+        if top == fixed:
+            moved = [j for j in range(c) if g[j::c] != identity[j::c]]
+            if len(moved) == 1:
+                j = moved[0]
+                local[j].append(tuple(y // c for y in g[j::c]))
+    full: set[int] = set()
+    symmetric: dict[tuple, bool] = {}  # restricted images -> generate Sym(k)
+    for j, restricted in enumerate(local):
+        if not restricted:
+            continue
+        key = tuple(restricted)
+        if key not in symmetric:
+            symmetric[key] = _generates_symmetric(key, k)
+        if symmetric[key]:
+            full.add(j)
+    pending = list(full)
+    while pending:
+        j = pending.pop()
+        for top in tops:
+            if top[j] not in full:
+                full.add(top[j])
+                pending.append(top[j])
+    if len(full) < c:
+        return None
+    top_order = PermGroup([Permutation(t) for t in tops], degree=c).order()
+    details = {"path": "blocks", "classes": c, "block_size": k, "top_order": str(top_order)}
+    return top_order * factorial(k) ** c, details
+
+
+def _class_images(g: tuple[int, ...], c: int) -> tuple[int, ...] | None:
+    """The class mod c onto which g maps each class mod c, or None when g
+    splits a class.  A permutation that maps every class into one maps
+    the classes bijectively, since they have equal sizes."""
+    out = []
+    for x in range(c):
+        t = g[x] % c
+        for y in g[x::c]:
+            if y % c != t:
+                return None
+        out.append(t)
+    return tuple(out)
+
+
+def _generates_symmetric(perms: tuple[tuple[int, ...], ...], k: int) -> bool:
+    """True iff the image tuples generate Sym(k): transitivity first,
+    which is cheap, then the order of a degree-k chain."""
+    seen = {0}
+    pending = [0]
+    while pending:
+        p = pending.pop()
+        for g in perms:
+            if g[p] not in seen:
+                seen.add(g[p])
+                pending.append(g[p])
+    if len(seen) < k:
+        return False
+    return PermGroup([Permutation(g) for g in perms], degree=k).order() == factorial(k)
+
+
 def filter_generators(perms, degree: int | None = None) -> list[Permutation]:
     """Reduce a list of permutations to the sublist that incrementally
     generates the same group: each permutation is kept only when the ones
-    kept so far do not already produce it."""
-    perms = list(perms)
-    if degree is None:
-        if not perms:
-            return []
-        degree = perms[0].degree
-    chain = _Chain(degree)
+    kept so far do not already produce it.  The permutations are consumed
+    one at a time, so an iterator's items are never all held at once."""
+    chain = None if degree is None else _Chain(degree)
     kept: list[Permutation] = []
     for p in perms:
-        if p.degree != degree:
+        if chain is None:
+            chain = _Chain(p.degree)
+        if p.degree != chain.degree:
             raise ValueError("generators have mixed degrees")
         if not chain.contains(p.images):
             chain.extend([p.images])

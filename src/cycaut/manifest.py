@@ -32,6 +32,11 @@ SOURCE describes the generators of an inner group on a shorter code:
   {"source": "shift_multipliers", "n": N, "generator": g}  shift plus multipliers
   {"source": "construct", "n": N, "generator": g, "specs": [...]}   recursive
   {"source": "perms", "degree": N, "cycles": [...]}        explicit list
+
+`load_manifest` checks the whole record tree before anything runs: an
+unknown field, construction kind or inner source, a missing field, or an
+expected_order that is not ASCII decimal rejects the file, naming the
+entry and the field.
 """
 
 from __future__ import annotations
@@ -88,20 +93,93 @@ def load_manifest(path: str) -> list[dict]:
     return data
 
 
+# Known fields.  Construction and source records: kind (or source) ->
+# (required fields, optional fields), besides "kind" (or "source") itself.
+_ENTRY_FIELDS = (
+    "name", "n", "generator", "expected_order", "expected_order_factors",
+    "method", "construction", "sampling",
+)
+_SAMPLING_FIELDS = (("trials",), ("seed",))
+_KINDS = {
+    "shift": ((), ()),
+    "pair_swap": ((), ()),
+    "block_rows": (("k",), ()),
+    "lifted_column": (("k", "inner"), ()),
+    "interleaved_lift": (("inner",), ("rows",)),
+    "residue_lift": (("rows", "inner"), ("at",)),
+    "row_permutation": (("rows", "perms"), ()),
+    "multiplier": (("a",), ()),
+    "multipliers": ((), ()),
+    "perms": (("cycles",), ()),
+}
+_SOURCES = {
+    "brute": (("n", "generator"), ()),
+    "shift_multipliers": (("n", "generator"), ()),
+    "construct": (("n", "generator", "specs"), ()),
+    "perms": (("degree", "cycles"), ()),
+}
+
+
 def _validate_entry(entry: dict) -> None:
+    if not isinstance(entry, dict):
+        raise ValueError(f"manifest entry must be an object: {entry!r}")
     for key in ("name", "n", "generator", "expected_order", "method"):
         if key not in entry:
             raise ValueError(f"manifest entry missing field {key!r}")
+    where = f"entry {entry['name']!r}"
+    _check_fields(entry, where, (), _ENTRY_FIELDS)
     if entry["method"] not in METHODS:
-        raise ValueError(f"unknown method {entry['method']!r}")
-    if not str(entry["expected_order"]).isdigit():
-        raise ValueError(f"expected_order must be a decimal string: {entry['expected_order']!r}")
+        raise ValueError(f"{where}: unknown method {entry['method']!r}")
+    order = str(entry["expected_order"])
+    if not (order.isascii() and order.isdigit()):
+        raise ValueError(
+            f"{where}: expected_order must be an ASCII decimal string: "
+            f"{entry['expected_order']!r}"
+        )
+    if "sampling" in entry:
+        _check_fields(entry["sampling"], f"{where}: sampling", *_SAMPLING_FIELDS)
     if entry["method"] in ("construct", "containment") and not entry.get("construction"):
-        raise ValueError(f"entry {entry['name']!r} needs a construction list")
+        raise ValueError(f"{where} needs a construction list")
+    if "construction" in entry:
+        validate_constructions(entry["construction"], f"{where}: construction")
     try:
         _code_for(entry["n"], entry["generator"])
     except ValueError as exc:
-        raise ValueError(f"entry {entry['name']!r}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def validate_constructions(specs, where: str = "construction") -> None:
+    """Reject a construction list with an unknown kind, inner source or
+    field, or a missing field, naming the record (`where` prefixes it)."""
+    if not isinstance(specs, list):
+        raise ValueError(f"{where} must be a list of construction records")
+    for idx, spec in enumerate(specs):
+        _check_record(spec, f"{where}[{idx}]", "kind", _KINDS)
+
+
+def _check_record(record, where: str, tag: str, schema: dict) -> None:
+    if not isinstance(record, dict):
+        raise ValueError(f"{where} must be an object")
+    kind = record.get(tag)
+    if kind not in schema:
+        raise ValueError(f"{where}: unknown {tag} {kind!r}")
+    required, optional = schema[kind]
+    _check_fields(record, f"{where} ({tag} {kind!r})", required, (tag, *optional))
+    if "inner" in record:
+        _check_record(record["inner"], f"{where}.inner", "source", _SOURCES)
+    if "specs" in record:
+        validate_constructions(record["specs"], f"{where}.specs")
+
+
+def _check_fields(record, where: str, required, optional) -> None:
+    if not isinstance(record, dict):
+        raise ValueError(f"{where} must be an object")
+    for key in required:
+        if key not in record:
+            raise ValueError(f"{where}: missing field {key!r}")
+    for key in record:
+        if key not in required and key not in optional:
+            raise ValueError(f"{where}: unknown field {key!r}")
 
 
 def _code_for(n: int, generator_text: str) -> CyclicCode:
@@ -131,7 +209,7 @@ def expand_source(source: dict, cache: dict | None = None) -> list[Permutation]:
 
 def _cached_brute(
     code: CyclicCode, max_n: int, cache: dict | None
-) -> tuple[list[Permutation], list[Permutation]]:
+) -> tuple[int, list[Permutation]]:
     """`brute_force_group` of the code, once per run cache."""
     if cache is None:
         return brute_force_group(code, max_n)
@@ -256,18 +334,18 @@ def run_entry(
 
     if method == "brute":
         t0 = perf_counter()
-        autos = _cached_brute(code, max_brute_n, cache)[0]
+        count = _cached_brute(code, max_brute_n, cache)[0]
         report = VerificationReport(
             name=name,
             n=code.length,
             generator=str(code.generator),
             expected_order=expected,
             method=method,
-            computed_order=len(autos),
+            computed_order=count,
         )
-        report.passed = len(autos) == expected
+        report.passed = count == expected
         if not report.passed:
-            report.reason = f"brute-force count {len(autos)} != expected {expected}"
+            report.reason = f"brute-force count {count} != expected {expected}"
         report.elapsed_ms = (perf_counter() - t0) * 1000.0
         return report
 

@@ -15,7 +15,7 @@ from time import perf_counter
 
 from .code import CyclicCode
 from .gf2poly import _mod_bits
-from .group import PermGroup, build_group, filter_generators
+from .group import PermGroup, build_group, chain_order, exact_order, filter_generators
 from .perm import Permutation
 
 BRUTE_FORCE_MAX_N = 10
@@ -44,17 +44,49 @@ def is_automorphism(code: CyclicCode, p: Permutation) -> bool:
 
 def brute_force_aut(code: CyclicCode, max_n: int = BRUTE_FORCE_MAX_N) -> list[Permutation]:
     """All automorphisms of the code, by exhausting S_n in lexicographic
-    one-line order.  Guarded by max_n; the count grows as n!."""
-    return brute_force_group(code, max_n)[0]
+    one-line order.  Guarded by max_n; the count grows as n!.  Raises
+    RuntimeError unless they form a group (see `brute_force_group`)."""
+    autos = [Permutation(images) for images in _automorphism_images(code, max_n)]
+    _closed_reduction(autos, code.length)
+    return autos
 
 
 def brute_force_group(
     code: CyclicCode, max_n: int = BRUTE_FORCE_MAX_N
-) -> tuple[list[Permutation], list[Permutation]]:
-    """All automorphisms of the code (as `brute_force_aut`) and their
-    `filter_generators` reduction.  Raises RuntimeError unless the
-    reduction generates a group of exactly as many elements as were found,
-    i.e. the collected set is closed."""
+) -> tuple[int, list[Permutation]]:
+    """The number of automorphisms of the code and their
+    `filter_generators` reduction, made while they are enumerated (in the
+    order of `brute_force_aut`), so they are never all held at once.
+    Raises RuntimeError unless the reduction generates a group of exactly
+    as many elements as were found, i.e. the enumerated set is closed."""
+    autos = (Permutation(images) for images in _automorphism_images(code, max_n))
+    return _closed_reduction(autos, code.length)
+
+
+def _closed_reduction(perms, n: int) -> tuple[int, list[Permutation]]:
+    """Count and reduce the permutations in one pass; raise RuntimeError
+    unless the reduction generates exactly as many elements."""
+    count = 0
+
+    def counted():
+        nonlocal count
+        for p in perms:
+            count += 1
+            yield p
+
+    gens = filter_generators(counted(), n)
+    order = build_group(gens, degree=n).order()
+    if order != count:
+        raise RuntimeError(
+            f"brute-forced automorphism set is not a group: "
+            f"{count} elements generate order {order}"
+        )
+    return count, gens
+
+
+def _automorphism_images(code: CyclicCode, max_n: int):
+    """Yield the one-line images of every automorphism of the code, in
+    lexicographic order over S_n."""
     n = code.length
     if n > max_n:
         raise ValueError(
@@ -70,7 +102,6 @@ def brute_force_group(
             sup.append((r & -r).bit_length() - 1)
             r &= r - 1
         supports.append(sup)
-    autos = []
     for images in itertools.permutations(range(n)):
         for sup in supports:
             out = 0
@@ -79,15 +110,7 @@ def brute_force_group(
             if _mod_bits(out, g):
                 break
         else:
-            autos.append(Permutation(images))
-    gens = filter_generators(autos, n)
-    order = build_group(gens, degree=n).order()
-    if order != len(autos):
-        raise RuntimeError(
-            f"brute-forced automorphism set is not a group: "
-            f"{len(autos)} elements generate order {order}"
-        )
-    return autos, gens
+            yield images
 
 
 def sample_outside(code: CyclicCode, group: PermGroup, trials: int, seed: int) -> int:
@@ -157,10 +180,13 @@ def verify_claim(
     """Check an order claim against constructed generators.
 
     Every generator must individually pass is_automorphism (none is
-    trusted by construction).  The stabilizer-chain order must equal the
-    expected order, or divide it when exact=False (containment-only
-    claims).  When sampling=(trials, seed) is given, that many random
-    permutations outside the built group must all fail is_automorphism.
+    trusted by construction).  The exact order of the group they generate
+    must equal the expected order, or divide it when exact=False
+    (containment-only claims).  When sampling=(trials, seed) is given, that
+    many random permutations outside the group must all fail
+    is_automorphism; membership needs the full stabilizer chain, so the
+    order then comes from it.  Otherwise it comes from `exact_order`.
+    details["order"] says which path gave the order.
     """
     t0 = perf_counter()
     report = VerificationReport(
@@ -178,8 +204,12 @@ def verify_claim(
             report.counterexample = str(p)
             report.elapsed_ms = (perf_counter() - t0) * 1000.0
             return report
-    grp = build_group([p for _, p in generators], degree=code.length)
-    report.computed_order = grp.order()
+    gens = [p for _, p in generators]
+    if sampling is None:
+        report.computed_order, report.details["order"] = exact_order(gens, code.length)
+    else:
+        grp = PermGroup(gens, degree=code.length)
+        report.computed_order, report.details["order"] = chain_order(grp)
     if exact:
         if report.computed_order != expected_order:
             report.reason = (

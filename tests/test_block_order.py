@@ -1,0 +1,214 @@
+"""The residue-class block-system order path against the full chain."""
+
+import math
+
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+from cycaut.group import PermGroup, block_order, exact_order
+from cycaut.manifest import (
+    _code_for,
+    default_manifest_path,
+    expand_constructions,
+    load_manifest,
+    report_record,
+    run_entry,
+)
+from cycaut.perm import Permutation
+from cycaut.verify import verify_claim
+
+ENTRIES = {e["name"]: e for e in load_manifest(default_manifest_path())}
+CONSTRUCTED = [
+    name for name, e in ENTRIES.items() if e["method"] in ("construct", "containment")
+]
+DECLINED = {"len14-squared-cubic", "len62-squared-quintic-containment"}
+
+
+def _class_perm(images_by_row, c, j, k):
+    """Permutation of degree k*c acting on class j (points j + c*r) as the
+    row permutation images_by_row and fixing every other point."""
+    images = list(range(k * c))
+    for r in range(k):
+        images[j + c * r] = j + c * images_by_row[r]
+    return images
+
+
+def _cycle(k):
+    return [(r + 1) % k for r in range(k)]
+
+
+def _swap(k):
+    return [1, 0] + list(range(2, k))
+
+
+def _symmetric_gens(c, j, k):
+    return [Permutation(tuple(_class_perm(_cycle(k), c, j, k))),
+            Permutation(tuple(_class_perm(_swap(k), c, j, k)))]
+
+
+def _top(sigma, pi, c, k):
+    """Class j goes to class sigma[j], row r to row pi[r], in every class."""
+    return Permutation(tuple(sigma[x % c] + c * pi[x // c] for x in range(k * c)))
+
+
+def _product(perms, degree):
+    acc = Permutation.identity(degree)
+    for p in perms:
+        acc = acc * p
+    return acc
+
+
+class TestDefaultManifest:
+    @pytest.mark.parametrize("name", CONSTRUCTED)
+    def test_matches_the_full_chain(self, name):
+        entry = ENTRIES[name]
+        code = _code_for(entry["n"], entry["generator"])
+        gens = [p for _, p in expand_constructions(code, entry["construction"], cache={})]
+        found = block_order(gens, code.length)
+        chain = PermGroup(gens, degree=code.length).order()
+        if name in DECLINED:
+            assert found is None
+        else:
+            assert found is not None
+            assert found[0] == chain == int(entry["expected_order"])
+            details = found[1]
+            assert details["path"] == "blocks"
+            assert details["classes"] * details["block_size"] == code.length
+            assert found[0] == int(details["top_order"]) * math.factorial(
+                details["block_size"]
+            ) ** details["classes"]
+        assert exact_order(gens, code.length)[0] == chain
+
+    def test_the_path_applies_to_seven_entries(self):
+        assert len(CONSTRUCTED) - len(DECLINED) == 7
+
+
+class TestRandomWreathProducts:
+    """Per-class symmetric groups on some classes, moved around by random
+    top permutations of the classes (with a random row map)."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_chain(self, data):
+        k = data.draw(st.integers(min_value=2, max_value=5), label="k")
+        c = data.draw(st.integers(min_value=2, max_value=5), label="c")
+        n = k * c
+        full = data.draw(st.sets(st.integers(min_value=0, max_value=c - 1)), label="full")
+        gens = []
+        for j in sorted(full):
+            gens += _symmetric_gens(c, j, k)
+        # a class with only its row cycle: Sym(k) for k = 2, cyclic otherwise
+        for j in data.draw(st.sets(st.integers(min_value=0, max_value=c - 1)), label="cyclic"):
+            gens.append(Permutation(tuple(_class_perm(_cycle(k), c, j, k))))
+        tops = []
+        for _ in range(data.draw(st.integers(min_value=0, max_value=2), label="tops")):
+            sigma = data.draw(st.permutations(range(c)))
+            pi = data.draw(st.permutations(range(k)))
+            tops.append(sigma)
+            top = _top(sigma, pi, c, k)
+            if gens and data.draw(st.booleans()):
+                top = top * gens[0]  # not class-local, but still maps classes onto classes
+            gens.append(top)
+        gens = data.draw(st.permutations(gens))
+        if not gens:
+            gens = [Permutation.identity(n)]
+
+        found = block_order(gens, n)
+        event("blocks" if found is not None else "declined")
+        chain = PermGroup(gens, degree=n).order()
+        if found is not None:
+            assert found[0] == chain
+        covered = set(full)
+        pending = list(full)
+        while pending:
+            j = pending.pop()
+            for sigma in tops:
+                if sigma[j] not in covered:
+                    covered.add(sigma[j])
+                    pending.append(sigma[j])
+        if len(covered) == c:
+            assert found is not None
+            assert found[0] == chain
+        assert exact_order(gens, n)[0] == chain
+
+
+class TestDeclines:
+    """Each case must fall back to the chain.  n = 9 has the one system
+    mod 3, so no other partition can take over."""
+
+    K = C = 3
+    N = 9
+
+    def _falls_back(self, gens):
+        assert block_order(gens, self.N) is None
+        order, details = exact_order(gens, self.N)
+        assert details["path"] == "chain"
+        assert order == PermGroup(gens, degree=self.N).order()
+        return order
+
+    def test_class_fixing_generator_moving_two_classes(self):
+        k, c = self.K, self.C
+        two = [
+            _product(p, self.N)
+            for p in zip(_symmetric_gens(c, 0, k), _symmetric_gens(c, 1, k))
+        ]
+        cyc = _top([1, 2, 0], list(range(k)), c, k)
+        order = self._falls_back(two + [cyc])
+        # the kernel is not the full product, so the claimed formula would be wrong
+        assert order != 3 * math.factorial(k) ** c
+
+    def test_symmetric_on_some_classes_with_intransitive_top(self):
+        k, c = self.K, self.C
+        swap01 = _top([1, 0, 2], list(range(k)), c, k)
+        order = self._falls_back(_symmetric_gens(c, 0, k) + [swap01])
+        assert order == 2 * math.factorial(k) ** 2
+
+    def test_one_generator_breaks_the_partition(self):
+        k, c = self.K, self.C
+        gens = []
+        for j in range(c):
+            gens += _symmetric_gens(c, j, k)
+        gens.append(_top([1, 2, 0], list(range(k)), c, k))
+        assert block_order(gens, self.N)[0] == 3 * math.factorial(k) ** c
+        breaker = Permutation((1, 0) + tuple(range(2, self.N)))  # points 0, 1: classes 0, 1
+        assert self._falls_back(gens + [breaker]) == math.factorial(self.N)
+
+    def test_degrees_without_a_proper_divisor(self):
+        for n in (0, 1, 2, 3, 5, 7):
+            assert block_order([Permutation.identity(n)], n) is None
+
+    def test_mixed_degrees_rejected(self):
+        with pytest.raises(ValueError, match="mixed"):
+            block_order([Permutation.identity(4), Permutation.identity(6)], 6)
+
+
+class TestReportDetails:
+    def test_blocks_path(self):
+        report = run_entry(ENTRIES["len49-block-rows"], cache={})
+        assert report.passed
+        assert report.details["order"] == {
+            "path": "blocks", "classes": 7, "block_size": 7, "top_order": "5040",
+        }
+
+    def test_chain_path_when_sampling(self):
+        report = run_entry(ENTRIES["len14-cubic-product"], cache={})
+        assert report.passed and report.sample_trials == 1000
+        details = report.details["order"]
+        assert details["path"] == "chain"
+        assert details["base_len"] == len(details["orbit_sizes"])
+        assert math.prod(details["orbit_sizes"]) == report.computed_order
+
+    def test_chain_path_when_declined(self):
+        entry = ENTRIES["len14-squared-cubic"]
+        code = _code_for(entry["n"], entry["generator"])
+        gens = expand_constructions(code, entry["construction"], cache={})
+        report = verify_claim(code, gens, int(entry["expected_order"]))
+        assert report.passed
+        assert report.details["order"]["path"] == "chain"
+
+    def test_record_has_no_details(self):
+        report = run_entry(ENTRIES["len49-residue-rows"], cache={})
+        assert set(report_record(report)) == {
+            "name", "n", "generator", "expected_order",
+            "computed_order", "pass", "elapsed_ms", "seed",
+        }

@@ -154,6 +154,24 @@ class TestAutConstructCommand:
         code, _, _ = run_cli(capsys, "aut-construct", "14", "(x^3+x+1)^2")
         assert code == 2
 
+    def test_spec_typo_rejected(self, capsys):
+        spec = self.SPEC.replace('"rows"', '"row"')
+        code, _, err = run_cli(capsys, "aut-construct", "14", "(x^3+x+1)^2", "--spec", spec)
+        assert code == 2
+        assert "unknown field 'row'" in err
+
+    def test_block_system_order(self, capsys):
+        spec = json.dumps(
+            [{"kind": "block_rows", "k": 14},
+             {"kind": "lifted_column", "k": 14,
+              "inner": {"source": "brute", "n": 7, "generator": "(x^3+x+1)(x^3+x^2+1)"}}]
+        )
+        code, out, _ = run_cli(
+            capsys, "--json", "aut-construct", "98", "(x^3+x+1)(x^3+x^2+1)", "--spec", spec
+        )
+        assert code == 0
+        assert json.loads(out)["order"] == str(5040 * 87178291200**7)
+
     def test_spec_file(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(self.SPEC)
@@ -293,6 +311,87 @@ class TestManifestSchema:
         report = run_entry(entry)
         assert not report.passed
         assert "factored" in report.reason
+
+    @staticmethod
+    def _load_one(tmp_path, change=None):
+        """Load a one-entry manifest: a valid entry, edited by `change`."""
+        entry = {
+            "name": "typo", "n": 14, "generator": "(x^3+x+1)^2",
+            "expected_order": "56448", "method": "construct",
+            "construction": [
+                {"kind": "interleaved_lift", "rows": [1, 2],
+                 "inner": {"source": "brute", "n": 7, "generator": "x^3+x+1"}},
+                {"kind": "pair_swap"},
+            ],
+        }
+        if change is not None:
+            change(entry)
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps([entry]))
+        return load_manifest(str(path))
+
+    def test_the_base_entry_loads(self, tmp_path):
+        assert self._load_one(tmp_path)[0]["name"] == "typo"
+
+    def test_rejects_full_width_digits(self, tmp_path):
+        # "１６８".isdigit() is True and int() accepts it
+        def full_width(e):
+            e["expected_order"] = "\uff11\uff16\uff18"
+
+        with pytest.raises(ValueError, match="entry 'typo'.*expected_order.*ASCII"):
+            self._load_one(tmp_path, change=full_width)
+
+    def test_rejects_unknown_kind(self, tmp_path):
+        def typo(e):
+            e["construction"][1]["kind"] = "pair_swapp"
+
+        with pytest.raises(ValueError, match=r"entry 'typo': construction\[1\]: unknown kind 'pair_swapp'"):
+            self._load_one(tmp_path, change=typo)
+
+    def test_rejects_unknown_source(self, tmp_path):
+        def typo(e):
+            e["construction"][0]["inner"]["source"] = "brutal"
+
+        with pytest.raises(ValueError, match=r"construction\[0\]\.inner: unknown source 'brutal'"):
+            self._load_one(tmp_path, change=typo)
+
+    def test_rejects_unknown_construction_field(self, tmp_path):
+        # "row" for "rows" used to fall back to the default rows silently
+        def typo(e):
+            e["construction"][0]["row"] = e["construction"][0].pop("rows")
+
+        with pytest.raises(ValueError, match=r"entry 'typo': construction\[0\].*unknown field 'row'"):
+            self._load_one(tmp_path, change=typo)
+
+    def test_rejects_unknown_field_in_nested_specs(self, tmp_path):
+        def nested(e):
+            e["construction"][0]["inner"] = {
+                "source": "construct", "n": 7, "generator": "x^3+x+1",
+                "specs": [{"kind": "shift", "k": 2}],
+            }
+
+        with pytest.raises(ValueError, match=r"inner\.specs\[0\].*unknown field 'k'"):
+            self._load_one(tmp_path, change=nested)
+
+    def test_rejects_missing_construction_field(self, tmp_path):
+        def missing(e):
+            del e["construction"][0]["inner"]
+
+        with pytest.raises(ValueError, match=r"construction\[0\].*missing field 'inner'"):
+            self._load_one(tmp_path, change=missing)
+
+    def test_rejects_unknown_entry_and_sampling_fields(self, tmp_path):
+        def entry_typo(e):
+            e["expected_orders"] = e["expected_order"]
+
+        with pytest.raises(ValueError, match="entry 'typo': unknown field 'expected_orders'"):
+            self._load_one(tmp_path, change=entry_typo)
+
+        def sampling_typo(e):
+            e["sampling"] = {"trials": 10, "sed": 3}
+
+        with pytest.raises(ValueError, match="entry 'typo': sampling: unknown field 'sed'"):
+            self._load_one(tmp_path, change=sampling_typo)
 
     def test_expand_source_perms(self):
         gens = expand_source({"source": "perms", "degree": 5, "cycles": ["(1,2)", "(1,2,3,4,5)"]})

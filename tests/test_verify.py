@@ -73,10 +73,42 @@ class TestBruteForce:
         assert all(a.inverse().images in aset for a in autos)
 
     def test_group_reduction_generates_all(self):
-        autos, gens = brute_force_group(HAMMING)
-        assert autos == brute_force_aut(HAMMING)
+        count, gens = brute_force_group(HAMMING)
+        autos = brute_force_aut(HAMMING)
+        assert count == len(autos) == 168
+        # reducing while enumerating keeps the in-order decisions of a
+        # reduction of the full list
         assert gens == filter_generators(autos, 7)
         assert build_group(gens, degree=7).order() == 168
+
+    def test_group_reduction_never_holds_every_automorphism(self, monkeypatch):
+        offered = []
+        real = verify_module.filter_generators
+
+        def checking(perms, degree=None):
+            # the reduction is handed a lazy stream, not a collected list
+            assert not isinstance(perms, (list, tuple))
+            offered.append(degree)
+            return real(perms, degree)
+
+        monkeypatch.setattr(verify_module, "filter_generators", checking)
+        code = CyclicCode(7, parse_poly_product("(x^3+x+1)(x^3+x^2+1)"))
+        count, gens = brute_force_group(code)
+        assert count == 5040 and offered == [7]
+        assert build_group(gens, degree=7).order() == 5040
+
+    def test_closure_failure_raises_for_the_streamed_reduction(self, monkeypatch):
+        # a reduction that drops generators makes the count and the order differ
+        real = verify_module.filter_generators
+        monkeypatch.setattr(
+            verify_module, "filter_generators", lambda perms, n: real(perms, n)[:1]
+        )
+        with pytest.raises(RuntimeError, match="168 elements generate order 2$"):
+            brute_force_group(HAMMING)
+
+    def test_cutoff_for_the_streamed_reduction(self):
+        with pytest.raises(ValueError, match="cutoff"):
+            brute_force_group(CyclicCode(14, parse_poly("x^3+x+1")))
 
     def test_closure_failure_raises(self, monkeypatch):
         # the check must survive python -O, so it is an exception, not an assert
