@@ -9,6 +9,7 @@ orders are printed as exact decimal strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -28,7 +29,11 @@ from .manifest import (
 from .verify import brute_force_group, is_automorphism
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `parse_args`
+    fills a new namespace on every call and leaves the parser as it was,
+    and each build leaves a few hundred objects for the cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="cycaut",
         description="binary cyclic codes and their automorphism groups",
@@ -189,7 +194,7 @@ def _run_entry_record(task) -> dict:
 
 def _cmd_verify_table(args) -> int:
     path = args.manifest or default_manifest_path()
-    entries = load_manifest(path)
+    entries = load_manifest(path, max_brute_n=args.max_n)
     if args.filter:
         entries = [e for e in entries if args.filter in e["name"]]
     tasks = [(entry, args.max_n, args.seed) for entry in entries]
@@ -242,8 +247,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:

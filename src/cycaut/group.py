@@ -376,15 +376,23 @@ def filter_generators(perms, degree: int | None = None) -> list[Permutation]:
     """Reduce a list of permutations to the sublist that incrementally
     generates the same group: each permutation is kept only when the ones
     kept so far do not already produce it.  The permutations are consumed
-    one at a time, so an iterator's items are never all held at once."""
+    one at a time, so an iterator's items are never all held at once.
+
+    Once the kept ones generate a group of order n!, that group is S_n and
+    every later permutation is a member, so the rest of the input is
+    consumed (callers may count it) without sifting."""
     chain = None if degree is None else _Chain(degree)
     kept: list[Permutation] = []
+    symmetric = False
     for p in perms:
         if chain is None:
             chain = _Chain(p.degree)
         if p.degree != chain.degree:
             raise ValueError("generators have mixed degrees")
+        if symmetric:
+            continue
         if not chain.contains(p.images):
             chain.extend([p.images])
             kept.append(p)
+            symmetric = chain.order() == factorial(chain.degree)
     return kept

@@ -34,9 +34,12 @@ SOURCE describes the generators of an inner group on a shorter code:
   {"source": "perms", "degree": N, "cycles": [...]}        explicit list
 
 `load_manifest` checks the whole record tree before anything runs: an
-unknown field, construction kind or inner source, a missing field, or an
-expected_order that is not ASCII decimal rejects the file, naming the
-entry and the field.
+unknown field, construction kind or inner source, a missing field, an
+expected_order that is not ASCII decimal, or a brute-force length beyond
+its cutoff rejects the file, naming the entry and the field.  The cutoff
+is `max_brute_n` (the `--max-n` of a run) for a "brute" entry and
+BRUTE_FORCE_MAX_N for a "brute" inner source, as `run_entry` and
+`expand_source` apply them.
 """
 
 from __future__ import annotations
@@ -79,14 +82,14 @@ def extended_manifest_path() -> str:
     return str(files("cycaut").joinpath("manifests/extended.json"))
 
 
-def load_manifest(path: str) -> list[dict]:
+def load_manifest(path: str, max_brute_n: int = BRUTE_FORCE_MAX_N) -> list[dict]:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError("manifest must be a JSON list of entries")
     names = set()
     for entry in data:
-        _validate_entry(entry)
+        _validate_entry(entry, max_brute_n)
         if entry["name"] in names:
             raise ValueError(f"duplicate manifest entry name {entry['name']!r}")
         names.add(entry["name"])
@@ -120,7 +123,7 @@ _SOURCES = {
 }
 
 
-def _validate_entry(entry: dict) -> None:
+def _validate_entry(entry: dict, max_brute_n: int) -> None:
     if not isinstance(entry, dict):
         raise ValueError(f"manifest entry must be an object: {entry!r}")
     for key in ("name", "n", "generator", "expected_order", "method"):
@@ -130,6 +133,8 @@ def _validate_entry(entry: dict) -> None:
     _check_fields(entry, where, (), _ENTRY_FIELDS)
     if entry["method"] not in METHODS:
         raise ValueError(f"{where}: unknown method {entry['method']!r}")
+    if entry["method"] == "brute":
+        _check_brute_length(entry["n"], max_brute_n, where)
     order = str(entry["expected_order"])
     if not (order.isascii() and order.isdigit()):
         raise ValueError(
@@ -164,7 +169,10 @@ def _check_record(record, where: str, tag: str, schema: dict) -> None:
     if kind not in schema:
         raise ValueError(f"{where}: unknown {tag} {kind!r}")
     required, optional = schema[kind]
-    _check_fields(record, f"{where} ({tag} {kind!r})", required, (tag, *optional))
+    named = f"{where} ({tag} {kind!r})"
+    _check_fields(record, named, required, (tag, *optional))
+    if tag == "source" and kind == "brute":
+        _check_brute_length(record["n"], BRUTE_FORCE_MAX_N, named)
     if "inner" in record:
         _check_record(record["inner"], f"{where}.inner", "source", _SOURCES)
     if "specs" in record:
@@ -180,6 +188,17 @@ def _check_fields(record, where: str, required, optional) -> None:
     for key in record:
         if key not in required and key not in optional:
             raise ValueError(f"{where}: unknown field {key!r}")
+
+
+def _check_brute_length(n, cutoff: int, where: str) -> None:
+    try:
+        length = int(n)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: field 'n' must be an integer: {n!r}") from None
+    if length > cutoff:
+        raise ValueError(
+            f"{where}: field 'n' = {length} exceeds the brute-force cutoff {cutoff}"
+        )
 
 
 def _code_for(n: int, generator_text: str) -> CyclicCode:

@@ -24,6 +24,15 @@ class Permutation:
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError("images are not a permutation")
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> Permutation:
+        """Wrap images that are a permutation by construction (an
+        `itertools.permutations` item, a shuffled range) without the
+        check, which sorts them."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     @property
     def degree(self) -> int:
         return len(self.images)

@@ -46,7 +46,7 @@ def brute_force_aut(code: CyclicCode, max_n: int = BRUTE_FORCE_MAX_N) -> list[Pe
     """All automorphisms of the code, by exhausting S_n in lexicographic
     one-line order.  Guarded by max_n; the count grows as n!.  Raises
     RuntimeError unless they form a group (see `brute_force_group`)."""
-    autos = [Permutation(images) for images in _automorphism_images(code, max_n)]
+    autos = list(_automorphisms(code, max_n))
     _closed_reduction(autos, code.length)
     return autos
 
@@ -59,8 +59,7 @@ def brute_force_group(
     order of `brute_force_aut`), so they are never all held at once.
     Raises RuntimeError unless the reduction generates a group of exactly
     as many elements as were found, i.e. the enumerated set is closed."""
-    autos = (Permutation(images) for images in _automorphism_images(code, max_n))
-    return _closed_reduction(autos, code.length)
+    return _closed_reduction(_automorphisms(code, max_n), code.length)
 
 
 def _closed_reduction(perms, n: int) -> tuple[int, list[Permutation]]:
@@ -84,9 +83,10 @@ def _closed_reduction(perms, n: int) -> tuple[int, list[Permutation]]:
     return count, gens
 
 
-def _automorphism_images(code: CyclicCode, max_n: int):
-    """Yield the one-line images of every automorphism of the code, in
-    lexicographic order over S_n."""
+def _automorphisms(code: CyclicCode, max_n: int):
+    """Yield every automorphism of the code, in lexicographic order over
+    S_n.  `itertools.permutations` only makes permutations, so they are
+    wrapped without the check."""
     n = code.length
     if n > max_n:
         raise ValueError(
@@ -102,6 +102,7 @@ def _automorphism_images(code: CyclicCode, max_n: int):
             sup.append((r & -r).bit_length() - 1)
             r &= r - 1
         supports.append(sup)
+    trusted = Permutation._trusted
     for images in itertools.permutations(range(n)):
         for sup in supports:
             out = 0
@@ -110,13 +111,17 @@ def _automorphism_images(code: CyclicCode, max_n: int):
             if _mod_bits(out, g):
                 break
         else:
-            yield images
+            yield trusted(images)
 
 
 def sample_outside(code: CyclicCode, group: PermGroup, trials: int, seed: int) -> int:
-    """Draw seeded uniform permutations of S_n, discard members of the
-    group, and count automorphisms among the rest.  Zero escapes is the
-    expected outcome when the group is the full automorphism group."""
+    """Draw seeded uniform permutations of S_n and count the automorphisms
+    of the code among those outside the group.  Zero escapes is the
+    expected outcome when the group is the full automorphism group.
+
+    The automorphism test runs first: it rejects almost every draw on its
+    first row, and only automorphisms need the membership sift.  The
+    count does not depend on the order of the two tests."""
     if group.degree != code.length:
         raise ValueError("group degree does not match code length")
     rng = Random(seed)
@@ -125,10 +130,8 @@ def sample_outside(code: CyclicCode, group: PermGroup, trials: int, seed: int) -
     for _ in range(trials):
         images = list(range(n))
         rng.shuffle(images)
-        p = Permutation(tuple(images))
-        if group.contains(p):
-            continue
-        if is_automorphism(code, p):
+        p = Permutation._trusted(tuple(images))
+        if is_automorphism(code, p) and not group.contains(p):
             escapes += 1
     return escapes
 

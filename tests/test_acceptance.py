@@ -66,7 +66,7 @@ def test_criterion_2_brute_force_orders():
         len(brute_force_aut(CyclicCode(7, parse_poly_product("(x^3+x+1)(x^3+x^2+1)"))))
         == 5040
     )
-    elapsed = _check_runtime(t0, 30.0, "criterion 2")
+    elapsed = _check_runtime(t0, 0.5, "criterion 2")
     _report(2, "length-7 brute-force orders 168 and 5040", elapsed)
 
 
@@ -156,7 +156,7 @@ def test_criterion_9_negative_sampling():
         assert report.passed, report.reason
         assert report.sample_trials == 1000
         assert report.sample_escapes == 0
-    elapsed = _check_runtime(t0, 30.0, "criterion 9")
+    elapsed = _check_runtime(t0, 1.0, "criterion 9")
     _report(9, "1000 sampled outsiders per n=14 construction, 0 escapes", elapsed)
 
 
@@ -193,5 +193,5 @@ def test_criterion_10_property_suites():
         for g in divisors_of_xn_minus_1(n):
             assert is_automorphism(CyclicCode(n, g), multiplier(2, n))
 
-    elapsed = _check_runtime(t0, 120.0, "criterion 10")
+    elapsed = _check_runtime(t0, 30.0, "criterion 10")
     _report(10, "shift/group/weight/Frobenius property suites", elapsed)

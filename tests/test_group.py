@@ -1,6 +1,10 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cycaut.group as group_module
 from cycaut.construct import shift
 from cycaut.group import PermGroup, build_group, filter_generators
 from cycaut.perm import Permutation, parse_cycles
@@ -99,6 +103,83 @@ class TestFilterGenerators:
 
     def test_empty(self):
         assert filter_generators([], 5) == []
+
+
+def _reference_reduction(perms, degree):
+    """Keep each permutation that the ones kept so far do not generate,
+    asking a freshly built group every time."""
+    kept = []
+    for p in perms:
+        if not PermGroup(kept, degree=degree).contains(p):
+            kept.append(p)
+    return kept
+
+
+@st.composite
+def _lists_reaching_symmetric(draw):
+    """(n, perms): a few random permutations, then a transposition and an
+    n-cycle conjugated by a random permutation (so they generate S_n), in
+    either order, then up to 20 more random permutations."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    perm = st.permutations(range(n)).map(lambda images: Permutation(tuple(images)))
+    conj = draw(perm)
+    pair = [conj * parse_cycles("(1,2)", n) * conj.inverse(), conj * shift(n) * conj.inverse()]
+    head = draw(st.lists(perm, max_size=3))
+    tail = draw(st.lists(perm, max_size=20))
+    return n, head + draw(st.permutations(pair)) + tail
+
+
+class TestFilterGeneratorsSymmetricStop:
+    """Once the kept permutations generate S_n, the reduction stops
+    sifting but still consumes its input."""
+
+    @given(_lists_reaching_symmetric())
+    @settings(max_examples=60, deadline=None)
+    def test_keeps_the_reference_list(self, case):
+        n, perms = case
+        kept = filter_generators(perms, n)
+        assert kept == _reference_reduction(perms, n)
+        assert filter_generators(perms) == kept
+        assert build_group(kept, degree=n).order() == math.factorial(n)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_whole_symmetric_group_of_small_degree(self, degree):
+        elements = [Permutation(images) for images in itertools.permutations(range(degree))]
+        for perms in (elements, elements[::-1], elements * 2):
+            assert filter_generators(perms, degree) == _reference_reduction(perms, degree)
+
+    S5 = [parse_cycles("(1,2)", 5), shift(5)]
+    TAIL = [G("(1,2)", "(1,2,3,4,5)", degree=5).random_element(seed) for seed in range(30)]
+
+    def test_input_is_consumed(self):
+        drawn = []
+
+        def stream():
+            for p in self.S5 + self.TAIL:
+                drawn.append(p)
+                yield p
+
+        items = stream()
+        assert filter_generators(items, 5) == self.S5
+        assert drawn == self.S5 + self.TAIL
+        assert next(items, None) is None
+
+    def test_nothing_is_sifted_after_symmetric(self, monkeypatch):
+        sifted = []
+        real = group_module._Chain.contains
+
+        def counting(chain, g):
+            sifted.append(g)
+            return real(chain, g)
+
+        monkeypatch.setattr(group_module._Chain, "contains", counting)
+        assert filter_generators(self.S5 + self.TAIL, 5) == self.S5
+        assert sifted == [p.images for p in self.S5]
+
+    def test_mixed_degrees_rejected_after_the_stop(self):
+        s3 = [parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)]
+        with pytest.raises(ValueError, match="mixed degrees"):
+            filter_generators(s3 + [Permutation.identity(4)])
 
 
 class TestBasePairSkip:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import cycaut.cli as cli_module
 from cycaut.cli import main
 from cycaut.manifest import (
     default_manifest_path,
@@ -396,6 +397,120 @@ class TestManifestSchema:
     def test_expand_source_perms(self):
         gens = expand_source({"source": "perms", "degree": 5, "cycles": ["(1,2)", "(1,2,3,4,5)"]})
         assert len(gens) == 2 and gens[0].degree == 5
+
+
+class TestBruteForceCutoffAtLoad:
+    """A brute-force length beyond the cutoff the run would apply rejects
+    the manifest when it is loaded, before anything runs."""
+
+    LONG = {"name": "long", "n": 14, "generator": "(x^3+x+1)^2",
+            "expected_order": "56448", "method": "brute"}
+
+    @staticmethod
+    def _write(tmp_path, entries):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(entries))
+        return str(path)
+
+    @staticmethod
+    def _with_inner(source):
+        return {
+            "name": "inner", "n": 14, "generator": "(x^3+x+1)^2",
+            "expected_order": "56448", "method": "construct",
+            "construction": [{"kind": "interleaved_lift", "inner": source}],
+        }
+
+    def test_rejects_a_long_brute_entry(self, tmp_path):
+        path = self._write(tmp_path, [self.LONG])
+        with pytest.raises(ValueError, match=r"entry 'long': field 'n' = 14 exceeds the brute-force cutoff 10"):
+            load_manifest(path)
+
+    def test_a_raised_max_n_lets_it_load(self, tmp_path):
+        path = self._write(tmp_path, [self.LONG])
+        assert [e["name"] for e in load_manifest(path, max_brute_n=14)] == ["long"]
+
+    def test_a_lowered_max_n_rejects_the_default_manifest(self):
+        with pytest.raises(ValueError, match=r"entry 'len7-cubic': field 'n' = 7 exceeds the brute-force cutoff 6"):
+            load_manifest(default_manifest_path(), max_brute_n=6)
+
+    def test_rejects_a_long_inner_brute_source(self, tmp_path):
+        source = {"source": "brute", "n": 14, "generator": "(x^3+x+1)^2"}
+        path = self._write(tmp_path, [self._with_inner(source)])
+        where = r"entry 'inner': construction\[0\]\.inner \(source 'brute'\)"
+        with pytest.raises(ValueError, match=where + r": field 'n' = 14 exceeds the brute-force cutoff 10"):
+            load_manifest(path)
+        # the inner cutoff is the library's, whatever --max-n says
+        with pytest.raises(ValueError, match=where):
+            load_manifest(path, max_brute_n=20)
+
+    def test_rejects_a_long_brute_source_nested_deeper(self, tmp_path):
+        source = {
+            "source": "construct", "n": 7, "generator": "x^3+x+1",
+            "specs": [{"kind": "lifted_column", "k": 1,
+                       "inner": {"source": "brute", "n": 11, "generator": "x+1"}}],
+        }
+        path = self._write(tmp_path, [self._with_inner(source)])
+        with pytest.raises(
+            ValueError,
+            match=r"entry 'inner': construction\[0\]\.inner\.specs\[0\]\.inner \(source 'brute'\): "
+            r"field 'n' = 11 exceeds",
+        ):
+            load_manifest(path)
+
+    def test_rejects_a_non_integer_length(self, tmp_path):
+        source = {"source": "brute", "n": "seven", "generator": "x^3+x+1"}
+        path = self._write(tmp_path, [self._with_inner(source)])
+        with pytest.raises(ValueError, match=r"inner \(source 'brute'\): field 'n' must be an integer"):
+            load_manifest(path)
+
+    def test_verify_table_exits_2_with_no_records(self, tmp_path, capsys):
+        short = dict(self.LONG, name="short", n=7, generator="x^3+x+1", expected_order="168")
+        path = self._write(tmp_path, [short, self.LONG])
+        code, out, err = run_cli(capsys, "--json", "verify-table", path)
+        assert code == 2 and out == ""
+        assert "entry 'long': field 'n'" in err
+
+    def test_aut_construct_spec_is_checked(self, capsys):
+        spec = json.dumps([{"kind": "lifted_column", "k": 1,
+                            "inner": {"source": "brute", "n": 11, "generator": "x+1"}}])
+        code, out, err = run_cli(capsys, "aut-construct", "11", "x+1", "--spec", spec)
+        assert code == 2 and out == ""
+        assert "--spec[0].inner (source 'brute'): field 'n' = 11 exceeds" in err
+
+
+class TestParserReuse:
+    """One parser serves every `main` call of a process; no flag of one
+    call may reach the next."""
+
+    def test_built_once(self):
+        assert cli_module._parser() is cli_module._parser()
+
+    def test_global_flags_reset_between_calls(self, capsys):
+        code, out, _ = run_cli(capsys, "--json", "factor", "7")
+        assert code == 0 and json.loads(out)["n"] == 7
+        code, out, _ = run_cli(capsys, "factor", "7")
+        assert code == 0 and out.splitlines()[0] == "(x+1)^1"
+
+        code, _, err = run_cli(capsys, "--max-n", "6", "aut-brute", "7", "x^3+x+1")
+        assert code == 2 and "cutoff 6" in err
+        code, out, _ = run_cli(capsys, "aut-brute", "7", "x^3+x+1")
+        assert code == 0 and out == "168\n"
+
+        code, _, err = run_cli(capsys, "--max-n", "6", "verify-table", "--filter", "len7")
+        assert code == 2 and "cutoff 6" in err
+        code, out, _ = run_cli(capsys, "verify-table", "--filter", "len7")
+        assert code == 0 and "2/2 entries passed" in out
+
+    def test_subcommand_flags_reset_between_calls(self, capsys):
+        code, out, _ = run_cli(capsys, "--json", "aut-brute", "7", "x^3+x+1", "--emit-gens")
+        assert code == 0 and "generators" in json.loads(out)
+        code, out, _ = run_cli(capsys, "--json", "aut-brute", "7", "x^3+x+1")
+        assert code == 0 and "generators" not in json.loads(out)
+
+        code, out, _ = run_cli(capsys, "verify-table", "--filter", "len31")
+        assert code == 0 and "2/2 entries passed" in out
+        code, out, _ = run_cli(capsys, "verify-table", "--filter", "len7")
+        assert code == 0 and "2/2 entries passed" in out and "len31" not in out
 
 
 class TestModuleEntryPoint:

@@ -121,3 +121,16 @@ class TestWordAction:
         a = parse_cycles("(1,2)", 3)
         b = parse_cycles("(1,3)", 3)
         assert compose(a, b) == a * b
+
+
+class TestConstructorCheck:
+    def test_public_constructor_rejects_non_permutations(self):
+        for images in ((0, 0), (1, 2), (0, 2, 2), (-1, 0)):
+            with pytest.raises(ValueError, match="not a permutation"):
+                Permutation(images)
+
+    @given(permutations())
+    def test_unchecked_wrap_equals_checked(self, p):
+        q = Permutation._trusted(p.images)
+        assert q == p and hash(q) == hash(p)
+        assert q.degree == p.degree and str(q) == str(p)

@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 
 from cycaut.code import Codeword, CyclicCode, apply_to_word
@@ -136,7 +138,47 @@ class TestBruteForce:
         assert calls == [7]
 
 
+def _membership_first(code, group, trials, seed):
+    """(escapes, automorphisms drawn) of `sample_outside`'s seeded draws,
+    asking membership before the automorphism test."""
+    rng = Random(seed)
+    escapes = automorphisms = 0
+    for _ in range(trials):
+        images = list(range(code.length))
+        rng.shuffle(images)
+        p = Permutation(tuple(images))
+        automorphisms += is_automorphism(code, p)
+        if group.contains(p):
+            continue
+        if is_automorphism(code, p):
+            escapes += 1
+    return escapes, automorphisms
+
+
 class TestSampleOutside:
+    def test_escapes_match_a_membership_first_count(self):
+        # <shift> has order 7 inside Aut = 168, so draws escape
+        cyclic = build_group([shift(7)], degree=7)
+        for seed in range(6):
+            escapes = sample_outside(HAMMING, cyclic, 300, seed)
+            assert escapes == _membership_first(HAMMING, cyclic, 300, seed)[0]
+            assert escapes > 0
+
+    def test_membership_is_asked_only_for_automorphisms(self):
+        cyclic = build_group([shift(7)], degree=7)
+        automorphisms = _membership_first(HAMMING, cyclic, 300, 2)[1]
+        asked = []
+        real = cyclic.contains
+
+        def counting(p):
+            asked.append(p)
+            return real(p)
+
+        cyclic.contains = counting
+        sample_outside(HAMMING, cyclic, 300, seed=2)
+        assert 0 < len(asked) == automorphisms
+        assert all(is_automorphism(HAMMING, p) for p in asked)
+
     def test_full_group_leaves_nothing_outside(self):
         s7 = build_group([parse_cycles("(1,2)", 7), shift(7)])
         assert sample_outside(HAMMING, s7, 200, seed=1) == 0
