@@ -26,7 +26,7 @@ from .manifest import (
     run_entry,
     validate_constructions,
 )
-from .verify import brute_force_group, is_automorphism
+from .verify import VerificationReport, brute_force_group, is_automorphism
 
 
 @functools.cache
@@ -184,15 +184,41 @@ def _cmd_multipliers(args) -> int:
     return 0
 
 
-def _run_entry_record(task) -> dict:
-    entry, max_n, seed = task
-    report = run_entry(entry, max_brute_n=max_n, default_seed=seed, cache={})
+# Errors a single manifest entry can raise while it runs (a construction
+# that does not fit the code length, say).  They fail that entry only.
+_ENTRY_ERRORS = (ValueError, ZeroDivisionError, RuntimeError)
+
+
+def _entry_record(entry: dict, max_n: int, seed: int, cache: dict) -> dict:
+    """The record of one entry, with its reason under "_reason" and, when
+    the entry raised, the error text under "_error"."""
+    error = None
+    try:
+        report = run_entry(entry, max_brute_n=max_n, default_seed=seed, cache=cache)
+    except _ENTRY_ERRORS as exc:
+        error = f"entry {entry['name']!r}: {exc}"
+        report = VerificationReport(
+            name=entry["name"],
+            n=int(entry["n"]),
+            generator=str(parse_poly_product(entry["generator"])),
+            expected_order=int(entry["expected_order"]),
+            method=entry["method"],
+            reason=error,
+        )
     record = report_record(report)
     record["_reason"] = report.reason
+    record["_error"] = error
     return record
 
 
+def _run_entry_record(task) -> dict:
+    return _entry_record(*task, cache={})
+
+
 def _cmd_verify_table(args) -> int:
+    """Run every entry, each on its own: an entry that raises gets a
+    failing record, and the others still run.  Exit 2 when an entry
+    raised, else 1 when a claim failed."""
     path = args.manifest or default_manifest_path()
     entries = load_manifest(path, max_brute_n=args.max_n)
     if args.filter:
@@ -207,16 +233,15 @@ def _cmd_verify_table(args) -> int:
             records = list(pool.map(_run_entry_record, tasks))
     else:
         cache: dict = {}
-        records = []
-        for entry in entries:
-            report = run_entry(entry, max_brute_n=args.max_n, default_seed=args.seed, cache=cache)
-            record = report_record(report)
-            record["_reason"] = report.reason
-            records.append(record)
+        records = [_entry_record(*task, cache=cache) for task in tasks]
 
-    failures = 0
+    failures = errors = 0
     for record in records:
         reason = record.pop("_reason")
+        error = record.pop("_error")
+        if error is not None:
+            errors += 1
+            print(f"error: {error}", file=sys.stderr)
         if args.json:
             print(json.dumps(record))
         else:
@@ -233,7 +258,7 @@ def _cmd_verify_table(args) -> int:
             failures += 1
     if not args.json:
         print(f"{len(records) - failures}/{len(records)} entries passed")
-    return 1 if failures else 0
+    return 2 if errors else 1 if failures else 0
 
 
 _COMMANDS = {

@@ -1,20 +1,44 @@
 """Automorphism testing, brute-force automorphism groups for small
 degrees, negative sampling, and order-claim verification.
 
-A coordinate permutation is a code automorphism iff it maps every
-codeword into the code; by linearity it suffices that the images of the
-generator rows are codewords, which is what `is_automorphism` checks.
+A coordinate permutation is an automorphism of a code C iff it maps C
+into C; by linearity it suffices that the images of the rows of a basis
+are codewords.  A permutation preserves the standard inner product, so it
+maps C into C iff it maps the dual code C-dual into C-dual: Aut(C) =
+Aut(C-dual) (MacWilliams & Sloane, The Theory of Error-Correcting Codes,
+1977; Huffman, "Codes and groups", Handbook of Coding Theory, 1998).  For
+the cyclic code C = <g> of length n and dimension k, C-dual is the cyclic
+code generated by the reciprocal of the check polynomial h = (x^n+1)/g,
+of dimension n - k.  The test therefore runs on D, the smaller of the
+two, with min(k, n - k) basis rows g_D * x^j: 10 rows instead of 1912 on
+the length-1922 claim.
+
+A word w lies in D iff its syndrome w mod g_D is 0, and the syndrome is
+linear, so the syndrome of the image of a row is the XOR of the
+syndromes x^i mod g_D over the image points i.  Once per (n, g), the
+kernel `_automorphism_test` tabulates those n syndromes and one
+`operator.itemgetter` per row that picks the row's support out of a
+permutation's images; the per-row test then runs in C, as
+`reduce(xor, map(syndrome, row(images)))` or, for short syndromes, an
+equivalent `sum` over lane-packed ones.  The rows are tested one at a
+time and the first non-zero syndrome rejects: a random permutation
+almost always fails on the first row, so looking up the syndromes of all
+n image points first costs more than it saves (brute force over S_7 for
+the eight length-7 codes ran 10-40% slower that way).  `is_automorphism`
+and the brute-force enumerator share this one kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter, xor
 from random import Random
 from time import perf_counter
 
 from .code import CyclicCode
-from .gf2poly import _mod_bits
+from .gf2poly import _divmod_bits
 from .group import PermGroup, build_group, chain_order, exact_order, filter_generators
 from .perm import Permutation
 
@@ -22,24 +46,77 @@ BRUTE_FORCE_MAX_N = 10
 
 
 def is_automorphism(code: CyclicCode, p: Permutation) -> bool:
-    """True iff p maps the code into itself (generator-row images are
-    codewords, which suffices by linearity)."""
+    """True iff p maps the code into itself.
+
+    Tested on the smaller of the code and its dual, which have the same
+    automorphisms: the image of each of its min(k, n - k) basis rows must
+    have syndrome 0, and the rows are tried one at a time, so most
+    non-automorphisms are rejected by the first (see the module
+    docstring)."""
     if p.degree != code.length:
         raise ValueError("permutation degree does not match code length")
-    g = code.generator.bits
-    images = p.images
-    row = g
-    for _ in range(code.dimension):
-        bits = row
-        out = 0
-        while bits:
-            i = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            out |= 1 << images[i]
-        if _mod_bits(out, g):
-            return False
-        row <<= 1
-    return True
+    return _automorphism_test(code.length, code.generator.bits)(p.images)
+
+
+# Lane-packed syndromes of at most this many bits keep `sum` on its
+# machine-word fast path (see `_automorphism_test`).
+_WORD_BITS = 62
+
+
+# Bounded, so that a sweep over many codes keeps only the latest tables.
+@functools.lru_cache(maxsize=64)
+def _automorphism_test(n: int, g: int):
+    """The predicate images -> bool deciding whether the permutation with
+    these images maps the length-n cyclic code <g> into itself.
+
+    D is the code if k = dim <g> <= n - k, else the dual code, generated
+    by the reciprocal of h = (x^n+1)/g.  syndromes[i] = x^i mod g_D, and
+    rows[j] picks the support of g_D * x^j, j < dim D, out of the images.
+    When dim D >= 1, g_D has degree n - dim D >= 1 and constant term 1, so
+    every support has at least two points and each itemgetter returns a
+    tuple.  When dim D = 0 (g = 1 or g = x^n+1) there are no rows and
+    every permutation passes.
+
+    A row's syndrome is the XOR of its points' syndromes.  When the
+    syndromes are short (every code of length <= 15, among others), each
+    of their bits is given a lane wide enough to count the row's points,
+    so that the plain `sum` of the packed syndromes holds, in the low bit
+    of each lane, the XOR; while it fits in a machine word, `sum` adds in
+    C without a call per point, where `reduce(xor, ...)` makes one.  That
+    keeps brute force over S_7 as fast as the bit loop it replaces.
+    Longer syndromes are XORed."""
+    k = n - (g.bit_length() - 1)
+    if 2 * k <= n:
+        gd, rank = g, k
+    else:
+        h = _divmod_bits((1 << n) | 1, g)[0]
+        gd, rank = int(format(h, "b")[::-1], 2), n - k
+    deg = gd.bit_length() - 1
+    syndromes = []
+    s = 1
+    for _ in range(n):
+        syndromes.append(s)
+        s <<= 1
+        if s >> deg:
+            s ^= gd
+    support = [i for i in range(deg + 1) if gd >> i & 1]
+    rows = [itemgetter(*[i + j for i in support]) for j in range(rank)]
+    width = len(support).bit_length()
+    if deg * width <= _WORD_BITS:
+        lanes = [1 << (b * width) for b in range(deg)]
+        table = [sum(lane for b, lane in enumerate(lanes) if s >> b & 1) for s in syndromes]
+        combine, mask = sum, sum(lanes)
+    else:
+        table, combine, mask = syndromes, functools.partial(functools.reduce, xor), -1
+    syndrome = table.__getitem__
+
+    def maps_into(images) -> bool:
+        for row in rows:
+            if combine(map(syndrome, row(images))) & mask:
+                return False
+        return True
+
+    return maps_into
 
 
 def brute_force_aut(code: CyclicCode, max_n: int = BRUTE_FORCE_MAX_N) -> list[Permutation]:
@@ -84,34 +161,17 @@ def _closed_reduction(perms, n: int) -> tuple[int, list[Permutation]]:
 
 
 def _automorphisms(code: CyclicCode, max_n: int):
-    """Yield every automorphism of the code, in lexicographic order over
-    S_n.  `itertools.permutations` only makes permutations, so they are
-    wrapped without the check."""
+    """Iterate lazily over every automorphism of the code, in
+    lexicographic order over S_n.  `itertools.permutations` only makes
+    permutations, so they are wrapped without the check."""
     n = code.length
     if n > max_n:
         raise ValueError(
             f"length {n} exceeds brute-force cutoff {max_n}; "
             "use a constructive verification instead"
         )
-    g = code.generator.bits
-    rows = [r.bits for r in code.generator_rows()]
-    supports = []
-    for r in rows:
-        sup = []
-        while r:
-            sup.append((r & -r).bit_length() - 1)
-            r &= r - 1
-        supports.append(sup)
-    trusted = Permutation._trusted
-    for images in itertools.permutations(range(n)):
-        for sup in supports:
-            out = 0
-            for i in sup:
-                out |= 1 << images[i]
-            if _mod_bits(out, g):
-                break
-        else:
-            yield trusted(images)
+    test = _automorphism_test(n, code.generator.bits)
+    return map(Permutation._trusted, filter(test, itertools.permutations(range(n))))
 
 
 def sample_outside(code: CyclicCode, group: PermGroup, trials: int, seed: int) -> int:

@@ -3,7 +3,7 @@
 Both claims are block-rows constructions, so their orders come from the
 residue-class block system (31 classes of 31 or 62 points) with a
 degree-31 chain, not from a chain on 961 or 1922 points; together they
-take about a second.  Run alone with:
+take under a second.  Run alone with:
 
     python -m pytest tests/test_extended.py -v -s
 """
@@ -16,7 +16,7 @@ from cycaut.manifest import extended_manifest_path, load_manifest, run_entry
 
 
 @pytest.mark.parametrize(
-    ("index", "budget_s"), [(0, 10.0), (1, 30.0)], ids=["len961", "len1922"]
+    ("index", "budget_s"), [(0, 2.0), (1, 6.0)], ids=["len961", "len1922"]
 )
 def test_extended_entry(index, budget_s):
     entry = load_manifest(extended_manifest_path())[index]

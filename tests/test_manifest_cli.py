@@ -271,6 +271,65 @@ class TestVerifyTable:
         assert strip_elapsed(out1) == strip_elapsed(out2)
 
 
+class TestEntryIsolation:
+    """A run-time error in one entry fails that entry only: every other
+    entry still runs and prints its usual record, and the run exits 2."""
+
+    GOOD_A = {"name": "good-a", "n": 7, "generator": "x^3+x+1",
+              "expected_order": "168", "method": "brute"}
+    BAD = {"name": "bad-rows", "n": 49, "generator": "x^3+x+1",
+           "expected_order": "1", "method": "construct",
+           "construction": [{"kind": "block_rows", "k": 5}]}
+    GOOD_B = {"name": "good-b", "n": 31, "generator": "(x^5+x^2+1)(x^5+x^3+1)",
+              "expected_order": "310", "method": "multiplier"}
+
+    @staticmethod
+    def _records(text):
+        rows = [json.loads(line) for line in text.splitlines()]
+        for row in rows:
+            row.pop("elapsed_ms")
+        return rows
+
+    def _run(self, tmp_path, capsys, entries, *options):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(entries))
+        return run_cli(capsys, "--json", *options, "verify-table", str(path))
+
+    @pytest.mark.parametrize("options", [(), ("--jobs", "2")], ids=["serial", "jobs2"])
+    def test_bad_entry_between_two_good_ones(self, tmp_path, capsys, options):
+        code, out, err = self._run(
+            tmp_path, capsys, [self.GOOD_A, self.BAD, self.GOOD_B], *options
+        )
+        assert code == 2
+        assert err.strip() == "error: entry 'bad-rows': block_rows: 5 does not divide 49"
+        good_code, good_out, _ = self._run(tmp_path, capsys, [self.GOOD_A, self.GOOD_B])
+        assert good_code == 0
+        good = self._records(good_out)
+        assert self._records(out) == [
+            good[0],
+            {"name": "bad-rows", "n": 49, "generator": "x^3+x+1",
+             "expected_order": "1", "computed_order": None, "pass": False,
+             "seed": None},
+            good[1],
+        ]
+
+    def test_text_output_names_the_entry_and_counts_it(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([self.GOOD_A, self.BAD, self.GOOD_B]))
+        code, out, _ = run_cli(capsys, "verify-table", str(path))
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[1].startswith("FAIL bad-rows:")
+        assert lines[1].endswith("-- entry 'bad-rows': block_rows: 5 does not divide 49")
+        assert lines[0].startswith("PASS good-a") and lines[2].startswith("PASS good-b")
+        assert lines[-1] == "2/3 entries passed"
+
+    def test_a_failed_claim_alone_still_exits_1(self, tmp_path, capsys):
+        wrong = dict(self.GOOD_A, expected_order="169")
+        code, _, err = self._run(tmp_path, capsys, [wrong, self.GOOD_B])
+        assert code == 1 and err == ""
+
+
 class TestManifestSchema:
     def test_default_manifest_loads(self):
         entries = load_manifest(default_manifest_path())

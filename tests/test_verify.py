@@ -1,10 +1,12 @@
+import itertools
+import math
 from random import Random
 
 import pytest
 
 from cycaut.code import Codeword, CyclicCode, apply_to_word
 from cycaut.construct import multiplier, pair_swap, shift
-from cycaut.gf2poly import divisors_of_xn_minus_1, parse_poly, parse_poly_product
+from cycaut.gf2poly import Gf2Poly, divisors_of_xn_minus_1, parse_poly, parse_poly_product
 import cycaut.manifest as manifest_module
 import cycaut.verify as verify_module
 from cycaut.group import build_group, filter_generators
@@ -41,6 +43,95 @@ class TestIsAutomorphism:
         for n in range(1, 31):
             for g in divisors_of_xn_minus_1(n):
                 assert is_automorphism(CyclicCode(n, g), shift(n))
+
+
+def _maps_rows_into_code(code, p):
+    """Reference test: every generator row g*x^j, j < k, moved by p, is
+    divisible by g (long division written out here)."""
+    g = code.generator.bits
+    gdeg = g.bit_length() - 1
+    for j in range(code.dimension):
+        image = 0
+        for i in range(code.length):
+            if (g << j) >> i & 1:
+                image |= 1 << p.images[i]
+        while image.bit_length() - 1 >= gdeg:
+            image ^= g << (image.bit_length() - 1 - gdeg)
+        if image:
+            return False
+    return True
+
+
+def _dual(code):
+    """The dual code, generated by the reciprocal of h = (x^n+1)/g."""
+    h = code.check.bits
+    reciprocal = sum(1 << (h.bit_length() - 1 - i) for i in range(h.bit_length()) if h >> i & 1)
+    return CyclicCode(code.length, Gf2Poly(reciprocal))
+
+
+def _kernel_cases(n, rng):
+    """Permutations to test on length n: the identity, the shift, the
+    multipliers, and 25 seeded uniform draws."""
+    perms = [Permutation.identity(n), shift(n)]
+    perms += [multiplier(a, n) for a in range(2, n) if math.gcd(a, n) == 1]
+    for _ in range(25):
+        images = list(range(n))
+        rng.shuffle(images)
+        perms.append(Permutation(tuple(images)))
+    return perms
+
+
+class TestSyndromeKernel:
+    """`is_automorphism` tests the smaller of C and its dual with syndrome
+    tables; it must agree with the row-by-row reference on C.  Lengths up
+    to 15 take the lane-packed `sum` path; lengths 21 and 31 also have
+    codes whose syndromes are too long for it and are XORed."""
+
+    @pytest.mark.parametrize("n", [*range(1, 16), 21, 31])
+    def test_agrees_with_reference_and_dual(self, n):
+        rng = Random(n)
+        perms = _kernel_cases(n, rng)
+        for g in divisors_of_xn_minus_1(n):
+            code = CyclicCode(n, g)
+            dual = _dual(code)
+            assert dual.dimension == n - code.dimension
+            for p in perms:
+                want = _maps_rows_into_code(code, p)
+                assert is_automorphism(code, p) == want, (n, str(g), str(p))
+                assert is_automorphism(dual, p) == want, (n, str(g), str(p))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_brute_force_equals_exhaustive_reference(self, n):
+        everything = [Permutation(images) for images in itertools.permutations(range(n))]
+        for g in divisors_of_xn_minus_1(n):
+            code = CyclicCode(n, g)
+            want = [p for p in everything if _maps_rows_into_code(code, p)]
+            assert brute_force_aut(code) == want, (n, str(g))
+
+    def test_brute_force_members_at_length_8(self):
+        for g in divisors_of_xn_minus_1(8):
+            code = CyclicCode(8, g)
+            autos = brute_force_aut(code)
+            for p in autos[:: max(1, len(autos) // 200)]:
+                assert _maps_rows_into_code(code, p)
+                assert is_automorphism(_dual(code), p)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_trivial_and_full_codes_admit_every_permutation(self, n):
+        # g = 1 (all words) and g = x^n+1 (the zero code): no rows to test
+        for g in (Gf2Poly(1), Gf2Poly((1 << n) | 1)):
+            code = CyclicCode(n, g)
+            for images in itertools.islice(itertools.permutations(range(n)), 50):
+                assert is_automorphism(code, Permutation(images))
+
+    def test_lengths_one_and_two(self):
+        # n = 1: g in {1, x+1}; n = 2: g in {1, x+1, x^2+1}
+        assert [str(g) for g in divisors_of_xn_minus_1(2)] == ["1", "x+1", "x^2+1"]
+        swap = parse_cycles("(1,2)", 2)
+        for g in divisors_of_xn_minus_1(2):
+            assert is_automorphism(CyclicCode(2, g), swap)
+        assert is_automorphism(CyclicCode(1, Gf2Poly(3)), Permutation.identity(1))
+        assert len(brute_force_aut(CyclicCode(2, Gf2Poly(3)))) == 2
 
 
 class TestBruteForce:
