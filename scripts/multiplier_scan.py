@@ -7,14 +7,8 @@ Usage: python scripts/multiplier_scan.py 31
 
 import argparse
 
-from cycaut import (
-    CyclicCode,
-    build_group,
-    divisors_of_xn_minus_1,
-    multiplier,
-    multiplier_subgroup,
-    shift,
-)
+from cycaut import CyclicCode, PermGroup, divisors_of_xn_minus_1, multiplier_subgroup
+from cycaut.manifest import SHIFT_MULTIPLIERS, expand_constructions
 
 
 def main() -> None:
@@ -26,9 +20,8 @@ def main() -> None:
     for g in divisors_of_xn_minus_1(n):
         code = CyclicCode(n, g)
         units = multiplier_subgroup(code)
-        grp = build_group(
-            [shift(n)] + [multiplier(a, n) for a in units if a != 1], degree=n
-        )
+        gens = expand_constructions(code, SHIFT_MULTIPLIERS)
+        grp = PermGroup([p for _, p in gens], degree=n)
         print(
             f"[{n},{code.dimension}] g={code.generator}  "
             f"units={{{','.join(map(str, units))}}}  order={grp.order()}"

@@ -8,7 +8,6 @@ from .code import (
     ResidueRows,
     apply_to_word,
     from_matrix,
-    new_cyclic_code,
     to_matrix,
 )
 from .construct import (
@@ -33,8 +32,8 @@ from .gf2poly import (
     parse_poly_product,
     x_pow_n_minus_1,
 )
-from .group import PermGroup, build_group, filter_generators
-from .perm import Permutation, compose, format_cycles, parse_cycles
+from .group import PermGroup, filter_generators
+from .perm import Permutation, format_cycles, parse_cycles
 from .verify import (
     VerificationReport,
     brute_force_aut,
@@ -57,8 +56,6 @@ __all__ = [
     "block_row_generators",
     "brute_force_aut",
     "brute_force_group",
-    "build_group",
-    "compose",
     "divisors_of_xn_minus_1",
     "factor_xn_minus_1",
     "filter_generators",
@@ -72,7 +69,6 @@ __all__ = [
     "lifted_column_perm",
     "multiplier",
     "multiplier_subgroup",
-    "new_cyclic_code",
     "pair_swap",
     "parse_cycles",
     "parse_poly",

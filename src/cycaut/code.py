@@ -121,10 +121,6 @@ class CyclicCode:
         return dict(sorted(Counter(w.weight() for w in self.codewords(max_dim)).items()))
 
 
-def new_cyclic_code(n: int, g: Gf2Poly) -> CyclicCode:
-    return CyclicCode(n, g)
-
-
 @dataclass(frozen=True, slots=True)
 class BlockRows:
     """Row-major layout: coordinate j (1-based) sits at row ceil(j/cols),

@@ -127,10 +127,11 @@ def multiplier(a: int, n: int) -> Permutation:
 def multiplier_subgroup(code: CyclicCode) -> list[int]:
     """All units a mod n whose multiplier permutation preserves the code.
     The result is multiplicatively closed and contains 1; for odd n it
-    contains 2 (squaring).  Exhaustive over the units."""
+    contains 2 (squaring).  Exhaustive over the units 1..n (a = n is a
+    unit only for n = 1, where 1 = n is the one residue)."""
     n = code.length
     return [
         a
-        for a in range(1, n)
+        for a in range(1, n + 1)
         if int_gcd(a, n) == 1 and is_automorphism(code, multiplier(a, n))
     ]

@@ -262,10 +262,6 @@ class PermGroup:
         return f"<PermGroup degree={self.degree} order={self._order}>"
 
 
-def build_group(generators, degree: int | None = None) -> PermGroup:
-    return PermGroup(generators, degree)
-
-
 def exact_order(generators, degree: int) -> tuple[int, dict]:
     """Exact order of the group the permutations generate, and how it
     was found: by `block_order` when it applies, else by a chain of the

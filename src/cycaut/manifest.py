@@ -10,8 +10,21 @@ Entry fields:
                   optional [[base, exp], ...]; their product must equal
                   expected_order (arithmetic identity of the claim)
   method          "brute" | "construct" | "multiplier" | "containment"
-  construction    list of construction records (construct/containment)
+  construction    list of construction records (construct/containment only)
   sampling        optional {"trials": int, "seed": int}
+
+Every method runs one pipeline, code -> generators -> `verify_claim`,
+and differs only in where the generators come from:
+
+  brute           the reduced generating set of the brute-forced
+                  automorphisms (`brute_force_group`), which generates
+                  exactly as many elements as were found
+  multiplier      SHIFT_MULTIPLIERS: the shift and the preserving units
+  construct       the construction list; the order must equal the claim
+  containment     the construction list; the order must divide the claim
+
+`sampling` applies to every method: that many seeded random permutations
+outside the generated group must all fail the automorphism test.
 
 Construction records (degree = code length unless noted):
 
@@ -34,12 +47,14 @@ SOURCE describes the generators of an inner group on a shorter code:
   {"source": "perms", "degree": N, "cycles": [...]}        explicit list
 
 `load_manifest` checks the whole record tree before anything runs: an
-unknown field, construction kind or inner source, a missing field, an
-expected_order that is not ASCII decimal, or a brute-force length beyond
-its cutoff rejects the file, naming the entry and the field.  The cutoff
-is `max_brute_n` (the `--max-n` of a run) for a "brute" entry and
-BRUTE_FORCE_MAX_N for a "brute" inner source, as `run_entry` and
-`expand_source` apply them.
+unknown field, construction kind or inner source, a missing field, a
+construction list on a method that takes none, an expected_order that is
+not ASCII decimal, an integer field (n, k, rows, a, at, degree, trials,
+seed, the factor pairs) that is not a JSON integer or is out of range, or
+a brute-force length beyond its cutoff rejects the file, naming the entry
+and the field.  The cutoff is `max_brute_n` (the `--max-n` of a run) for
+a "brute" entry and BRUTE_FORCE_MAX_N for a "brute" inner source, as
+`run_entry` and `expand_source` apply them.
 """
 
 from __future__ import annotations
@@ -63,12 +78,14 @@ from .construct import (
     shift,
 )
 from .gf2poly import parse_poly_product
-from .group import build_group
 from .perm import Permutation, parse_cycles
 from .verify import BRUTE_FORCE_MAX_N, VerificationReport, brute_force_group, verify_claim
 
 MANIFEST_ENV_VAR = "CYCAUT_MANIFEST"
 METHODS = ("brute", "construct", "multiplier", "containment")
+# The generators of the shift-and-multiplier group: the `multiplier`
+# method and the `shift_multipliers` inner source.
+SHIFT_MULTIPLIERS = [{"kind": "shift"}, {"kind": "multipliers"}]
 
 
 def default_manifest_path() -> str:
@@ -123,6 +140,16 @@ _SOURCES = {
 }
 
 
+# Integer fields, wherever they appear, with their least value (None: no
+# bound).  The "rows" of interleaved_lift and the "at" of residue_lift are
+# lists of them.
+_INTEGERS = {
+    "n": 1, "k": 1, "rows": 1, "trials": 1,
+    "a": None, "at": None, "degree": None, "seed": None,
+}
+_INTEGER_LISTS = {("interleaved_lift", "rows"), ("residue_lift", "at")}
+
+
 def _validate_entry(entry: dict, max_brute_n: int) -> None:
     if not isinstance(entry, dict):
         raise ValueError(f"manifest entry must be an object: {entry!r}")
@@ -130,32 +157,51 @@ def _validate_entry(entry: dict, max_brute_n: int) -> None:
         if key not in entry:
             raise ValueError(f"manifest entry missing field {key!r}")
     where = f"entry {entry['name']!r}"
+    method = entry["method"]
     _check_fields(entry, where, (), _ENTRY_FIELDS)
-    if entry["method"] not in METHODS:
-        raise ValueError(f"{where}: unknown method {entry['method']!r}")
-    if entry["method"] == "brute":
+    if method not in METHODS:
+        raise ValueError(f"{where}: unknown method {method!r}")
+    _check_integers(entry, where)
+    if method == "brute":
         _check_brute_length(entry["n"], max_brute_n, where)
-    order = str(entry["expected_order"])
-    if not (order.isascii() and order.isdigit()):
-        raise ValueError(
-            f"{where}: expected_order must be an ASCII decimal string: "
-            f"{entry['expected_order']!r}"
-        )
+    parse_order(entry["expected_order"], f"{where}: expected_order")
+    factors = entry.get("expected_order_factors", [])
+    if not isinstance(factors, list):
+        raise ValueError(f"{where}: field 'expected_order_factors' must be a list")
+    for idx, pair in enumerate(factors):
+        named = f"{where}: field 'expected_order_factors'[{idx}]"
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(f"{named} must be a [base, exponent] pair: {pair!r}")
+        _check_integer(pair[0], f"{named}[0]", None)
+        _check_integer(pair[1], f"{named}[1]", 1)
     if "sampling" in entry:
         _check_fields(entry["sampling"], f"{where}: sampling", *_SAMPLING_FIELDS)
-    if entry["method"] in ("construct", "containment") and not entry.get("construction"):
-        raise ValueError(f"{where} needs a construction list")
-    if "construction" in entry:
+        _check_integers(entry["sampling"], f"{where}: sampling")
+    if method in ("construct", "containment"):
+        if not entry.get("construction"):
+            raise ValueError(f"{where} needs a construction list")
         validate_constructions(entry["construction"], f"{where}: construction")
+    elif "construction" in entry:
+        raise ValueError(f"{where}: method {method!r} takes no field 'construction'")
     try:
         _code_for(entry["n"], entry["generator"])
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
+def parse_order(value, where: str) -> int:
+    """A group order given as a string of ASCII decimal digits ("１６８"
+    and "1_68" are refused, though `int` reads both)."""
+    text = str(value)
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{where} must be an ASCII decimal string: {value!r}")
+    return int(text)
+
+
 def validate_constructions(specs, where: str = "construction") -> None:
     """Reject a construction list with an unknown kind, inner source or
-    field, or a missing field, naming the record (`where` prefixes it)."""
+    field, a missing field, or an integer field that is not a JSON integer
+    in range, naming the record (`where` prefixes it)."""
     if not isinstance(specs, list):
         raise ValueError(f"{where} must be a list of construction records")
     for idx, spec in enumerate(specs):
@@ -171,6 +217,7 @@ def _check_record(record, where: str, tag: str, schema: dict) -> None:
     required, optional = schema[kind]
     named = f"{where} ({tag} {kind!r})"
     _check_fields(record, named, required, (tag, *optional))
+    _check_integers(record, named, kind)
     if tag == "source" and kind == "brute":
         _check_brute_length(record["n"], BRUTE_FORCE_MAX_N, named)
     if "inner" in record:
@@ -190,14 +237,32 @@ def _check_fields(record, where: str, required, optional) -> None:
             raise ValueError(f"{where}: unknown field {key!r}")
 
 
-def _check_brute_length(n, cutoff: int, where: str) -> None:
-    try:
-        length = int(n)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where}: field 'n' must be an integer: {n!r}") from None
-    if length > cutoff:
+def _check_integers(record: dict, where: str, kind: str | None = None) -> None:
+    for key, least in _INTEGERS.items():
+        if key not in record:
+            continue
+        value = record[key]
+        if (kind, key) not in _INTEGER_LISTS:
+            _check_integer(value, f"{where}: field {key!r}", least)
+            continue
+        if not isinstance(value, list):
+            raise ValueError(f"{where}: field {key!r} must be a list of integers: {value!r}")
+        for idx, item in enumerate(value):
+            _check_integer(item, f"{where}: field {key!r}[{idx}]", least)
+
+
+def _check_integer(value, where: str, least: int | None) -> None:
+    """A JSON integer: not a bool, a float or a string of digits."""
+    if type(value) is not int:
+        raise ValueError(f"{where} must be an integer: {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{where} must be at least {least}: {value}")
+
+
+def _check_brute_length(n: int, cutoff: int, where: str) -> None:
+    if n > cutoff:
         raise ValueError(
-            f"{where}: field 'n' = {length} exceeds the brute-force cutoff {cutoff}"
+            f"{where}: field 'n' = {n} exceeds the brute-force cutoff {cutoff}"
         )
 
 
@@ -214,15 +279,10 @@ def expand_source(source: dict, cache: dict | None = None) -> list[Permutation]:
     if kind == "brute":
         code = _code_for(source["n"], source["generator"])
         return list(_cached_brute(code, BRUTE_FORCE_MAX_N, cache)[1])
-    if kind == "shift_multipliers":
+    if kind in ("shift_multipliers", "construct"):
         code = _code_for(source["n"], source["generator"])
-        n = code.length
-        units = multiplier_subgroup(code)
-        return [shift(n)] + [multiplier(a, n) for a in units if a != 1]
-    if kind == "construct":
-        code = _code_for(source["n"], source["generator"])
-        gens = expand_constructions(code, source["specs"], cache)
-        return [p for _, p in gens]
+        specs = SHIFT_MULTIPLIERS if kind == "shift_multipliers" else source["specs"]
+        return [p for _, p in expand_constructions(code, specs, cache)]
     raise ValueError(f"unknown inner source {kind!r}")
 
 
@@ -264,37 +324,24 @@ def expand_constructions(
             k = int(spec["k"])
             if n % k:
                 raise ValueError(f"lifted_column: {k} does not divide {n}")
-            inner = expand_source(spec["inner"], cache)
-            for j, tau in enumerate(inner):
-                if tau.degree != n // k:
-                    raise ValueError(
-                        f"lifted_column: inner degree {tau.degree}, expected {n // k}"
-                    )
+            for j, tau in enumerate(_inner(spec, n // k, cache)):
                 out.append((f"{tag}.{j}", lifted_column_perm(tau, k)))
         elif kind == "interleaved_lift":
             if n % 2:
                 raise ValueError("interleaved_lift needs an even length")
             rows = spec.get("rows", [1, 2])
-            inner = expand_source(spec["inner"], cache)
+            inner = _inner(spec, n // 2, cache)
             for row in rows:
                 for j, sigma in enumerate(inner):
-                    if sigma.degree != n // 2:
-                        raise ValueError(
-                            f"interleaved_lift: inner degree {sigma.degree}, expected {n // 2}"
-                        )
                     out.append((f"{tag}.r{row}.{j}", interleaved_lift(sigma, row)))
         elif kind == "residue_lift":
             rows = int(spec["rows"])
             if n % rows:
                 raise ValueError(f"residue_lift: {rows} does not divide {n}")
             at = spec.get("at", [1])
-            inner = expand_source(spec["inner"], cache)
+            inner = _inner(spec, n // rows, cache)
             for a in at:
                 for j, alpha in enumerate(inner):
-                    if alpha.degree != n // rows:
-                        raise ValueError(
-                            f"residue_lift: inner degree {alpha.degree}, expected {n // rows}"
-                        )
                     out.append((f"{tag}.a{a}.{j}", residue_lift(alpha, a, rows)))
         elif kind == "row_permutation":
             rows = int(spec["rows"])
@@ -317,6 +364,16 @@ def expand_constructions(
     return out
 
 
+def _inner(spec: dict, degree: int, cache: dict | None) -> list[Permutation]:
+    """The generators of a record's inner source, which must have the
+    given degree."""
+    inner = expand_source(spec["inner"], cache)
+    for p in inner:
+        if p.degree != degree:
+            raise ValueError(f"{spec['kind']}: inner degree {p.degree}, expected {degree}")
+    return inner
+
+
 def run_entry(
     entry: dict,
     *,
@@ -324,7 +381,8 @@ def run_entry(
     default_seed: int = 0,
     cache: dict | None = None,
 ) -> VerificationReport:
-    """Verify one manifest entry and return its report."""
+    """Verify one manifest entry and return its report.  The method picks
+    only the generators; `verify_claim` checks them all the same way."""
     name = entry["name"]
     method = entry["method"]
     expected = int(entry["expected_order"])
@@ -334,7 +392,7 @@ def run_entry(
     if factors is not None:
         claimed = math.prod(int(b) ** int(e) for b, e in factors)
         if claimed != expected:
-            report = VerificationReport(
+            return VerificationReport(
                 name=name,
                 n=code.length,
                 generator=str(code.generator),
@@ -342,7 +400,6 @@ def run_entry(
                 method=method,
                 reason=f"expected_order {expected} does not equal the factored form {claimed}",
             )
-            return report
 
     sampling = None
     if entry.get("sampling"):
@@ -351,59 +408,16 @@ def run_entry(
             int(entry["sampling"].get("seed", default_seed)),
         )
 
-    if method == "brute":
-        t0 = perf_counter()
-        count = _cached_brute(code, max_brute_n, cache)[0]
-        report = VerificationReport(
-            name=name,
-            n=code.length,
-            generator=str(code.generator),
-            expected_order=expected,
-            method=method,
-            computed_order=count,
-        )
-        report.passed = count == expected
-        if not report.passed:
-            report.reason = f"brute-force count {count} != expected {expected}"
-        report.elapsed_ms = (perf_counter() - t0) * 1000.0
-        return report
-
-    if method == "multiplier":
-        t0 = perf_counter()
-        n = code.length
-        units = multiplier_subgroup(code)
-        gens = [shift(n)] + [multiplier(a, n) for a in units if a != 1]
-        grp = build_group(gens, degree=n)
-        computed = grp.order()
-        report = VerificationReport(
-            name=name,
-            n=n,
-            generator=str(code.generator),
-            expected_order=expected,
-            method=method,
-            computed_order=computed,
-            details={"units": units},
-        )
-        report.passed = computed == expected == n * len(units)
-        if not report.passed:
-            report.reason = (
-                f"shift-and-multiplier order {computed} ({len(units)} units) "
-                f"!= expected {expected}"
-            )
-        report.elapsed_ms = (perf_counter() - t0) * 1000.0
-        return report
-
     t0 = perf_counter()
-    generators = expand_constructions(code, entry["construction"], cache)
+    if method == "brute":
+        reduced = _cached_brute(code, max_brute_n, cache)[1]
+        generators = [(f"brute.{j}", p) for j, p in enumerate(reduced)]
+    else:
+        specs = SHIFT_MULTIPLIERS if method == "multiplier" else entry["construction"]
+        generators = expand_constructions(code, specs, cache)
     expansion_ms = (perf_counter() - t0) * 1000.0
     report = verify_claim(
-        code,
-        generators,
-        expected,
-        name=name,
-        method=method,
-        sampling=sampling,
-        exact=(method == "construct"),
+        code, generators, expected, name=name, method=method, sampling=sampling
     )
     report.elapsed_ms += expansion_ms
     return report

@@ -90,11 +90,6 @@ class Permutation:
         return f"Permutation.from_cycles({format_cycles(self)!r}, {self.degree})"
 
 
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """(a o b)(i) = a(b(i))."""
-    return a * b
-
-
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse disjoint cycles in 1-based notation; "()" is the identity."""
     s = "".join(text.split())

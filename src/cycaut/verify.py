@@ -39,7 +39,7 @@ from time import perf_counter
 
 from .code import CyclicCode
 from .gf2poly import _divmod_bits
-from .group import PermGroup, build_group, chain_order, exact_order, filter_generators
+from .group import PermGroup, chain_order, exact_order, filter_generators
 from .perm import Permutation
 
 BRUTE_FORCE_MAX_N = 10
@@ -151,7 +151,7 @@ def _closed_reduction(perms, n: int) -> tuple[int, list[Permutation]]:
             yield p
 
     gens = filter_generators(counted(), n)
-    order = build_group(gens, degree=n).order()
+    order = PermGroup(gens, degree=n).order()
     if order != count:
         raise RuntimeError(
             f"brute-forced automorphism set is not a group: "
@@ -238,14 +238,13 @@ def verify_claim(
     name: str = "claim",
     method: str = "construct",
     sampling: tuple[int, int] | None = None,
-    exact: bool = True,
 ) -> VerificationReport:
-    """Check an order claim against constructed generators.
+    """Check an order claim against labelled generators.
 
     Every generator must individually pass is_automorphism (none is
     trusted by construction).  The exact order of the group they generate
-    must equal the expected order, or divide it when exact=False
-    (containment-only claims).  When sampling=(trials, seed) is given, that
+    must equal the expected order, or divide it for method "containment"
+    (subgroup-only claims).  When sampling=(trials, seed) is given, that
     many random permutations outside the group must all fail
     is_automorphism; membership needs the full stabilizer chain, so the
     order then comes from it.  Otherwise it comes from `exact_order`.
@@ -261,44 +260,38 @@ def verify_claim(
     )
     if sampling is not None:
         report.seed = sampling[1]
+    report.reason = _failure(report, code, generators, sampling)
+    report.passed = not report.reason
+    report.elapsed_ms = (perf_counter() - t0) * 1000.0
+    return report
+
+
+def _failure(report, code, generators, sampling) -> str:
+    """Run the checks of `verify_claim`, filling in the report; the
+    reason of the first that fails, or "" when all pass."""
     for label, p in generators:
         if not is_automorphism(code, p):
-            report.reason = f"constructed generator {label} = {p} is not an automorphism"
             report.counterexample = str(p)
-            report.elapsed_ms = (perf_counter() - t0) * 1000.0
-            return report
+            return f"generator {label} = {p} is not an automorphism"
     gens = [p for _, p in generators]
     if sampling is None:
         report.computed_order, report.details["order"] = exact_order(gens, code.length)
     else:
         grp = PermGroup(gens, degree=code.length)
         report.computed_order, report.details["order"] = chain_order(grp)
-    if exact:
-        if report.computed_order != expected_order:
-            report.reason = (
-                f"order mismatch: computed {report.computed_order}, expected {expected_order}"
-            )
-            report.elapsed_ms = (perf_counter() - t0) * 1000.0
-            return report
-    else:
-        if expected_order % report.computed_order != 0:
-            report.reason = (
-                f"constructed subgroup order {report.computed_order} "
-                f"does not divide expected {expected_order}"
-            )
-            report.elapsed_ms = (perf_counter() - t0) * 1000.0
-            return report
+    computed, expected = report.computed_order, report.expected_order
+    if report.method == "containment":
+        if expected % computed:
+            return f"constructed subgroup order {computed} does not divide expected {expected}"
+    elif computed != expected:
+        return f"order mismatch: computed {computed}, expected {expected}"
     if sampling is not None:
         trials, seed = sampling
         report.sample_trials = trials
         report.sample_escapes = sample_outside(code, grp, trials, seed)
         if report.sample_escapes:
-            report.reason = (
+            return (
                 f"{report.sample_escapes} sampled permutations outside the "
                 f"constructed group are automorphisms"
             )
-            report.elapsed_ms = (perf_counter() - t0) * 1000.0
-            return report
-    report.passed = True
-    report.elapsed_ms = (perf_counter() - t0) * 1000.0
-    return report
+    return ""

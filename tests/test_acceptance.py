@@ -17,7 +17,7 @@ from cycaut.gf2poly import (
     parse_poly_product,
     x_pow_n_minus_1,
 )
-from cycaut.group import build_group, filter_generators
+from cycaut.group import PermGroup, filter_generators
 from cycaut.manifest import default_manifest_path, load_manifest, run_entry
 from cycaut.verify import brute_force_aut, is_automorphism
 
@@ -118,13 +118,13 @@ def test_criterion_7_multiplier_subgroups_n31():
     two = CyclicCode(31, parse_poly_product("(x^5+x^2+1)(x^5+x^3+1)"))
     units2 = multiplier_subgroup(two)
     assert len(units2) == 10
-    grp2 = build_group([shift(31)] + [multiplier(a, 31) for a in units2 if a != 1])
+    grp2 = PermGroup([shift(31)] + [multiplier(a, 31) for a in units2 if a != 1])
     assert grp2.order() == 310
 
     three = CyclicCode(31, parse_poly_product("(x^5+x^2+1)(x^5+x^3+1)(x^5+x^3+x^2+x+1)"))
     units3 = multiplier_subgroup(three)
     assert len(units3) == 5
-    grp3 = build_group([shift(31)] + [multiplier(a, 31) for a in units3 if a != 1])
+    grp3 = PermGroup([shift(31)] + [multiplier(a, 31) for a in units3 if a != 1])
     assert grp3.order() == 155
     elapsed = _check_runtime(t0, 5.0, "criterion 7")
     _report(7, "n=31 multiplier subgroups of sizes 10 and 5, orders 310 and 155", elapsed)
@@ -175,7 +175,7 @@ def test_criterion_10_property_suites():
         for g in divisors_of_xn_minus_1(n):
             code = CyclicCode(n, g)
             autos = brute_force_aut(code)
-            grp = build_group(filter_generators(autos, n), degree=n)
+            grp = PermGroup(filter_generators(autos, n), degree=n)
             assert grp.order() == len(autos)
             auto_set = {a.images for a in autos}
             for a in autos:

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from cycaut.group import build_group
+from cycaut.group import PermGroup
 from cycaut.manifest import _code_for, default_manifest_path, expand_constructions, load_manifest
 
 ENTRIES = {e["name"]: e for e in load_manifest(default_manifest_path())}
@@ -43,7 +43,7 @@ def _group(name):
     entry = ENTRIES[name]
     code = _code_for(entry["n"], entry["generator"])
     gens = expand_constructions(code, entry["construction"], {})
-    return build_group([p for _, p in gens], degree=code.length)
+    return PermGroup([p for _, p in gens], degree=code.length)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))

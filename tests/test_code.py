@@ -8,7 +8,6 @@ from cycaut.code import (
     ResidueRows,
     apply_to_word,
     from_matrix,
-    new_cyclic_code,
     to_matrix,
 )
 from cycaut.construct import shift
@@ -31,16 +30,16 @@ class TestConstruction:
 
     def test_non_divisor_rejected(self):
         with pytest.raises(ValueError, match="does not divide"):
-            new_cyclic_code(7, parse_poly("x^2+x+1"))
+            CyclicCode(7, parse_poly("x^2+x+1"))
 
     def test_bad_length(self):
         with pytest.raises(ValueError):
-            new_cyclic_code(0, ONE)
+            CyclicCode(0, ONE)
 
     def test_degenerate_codes(self):
-        full = new_cyclic_code(5, ONE)
+        full = CyclicCode(5, ONE)
         assert full.dimension == 5
-        zero = new_cyclic_code(5, x_pow_n_minus_1(5))
+        zero = CyclicCode(5, x_pow_n_minus_1(5))
         assert zero.dimension == 0
         assert zero.weight_distribution() == {0: 1}
 

@@ -14,7 +14,7 @@ from cycaut.construct import (
     shift,
 )
 from cycaut.gf2poly import parse_poly, parse_poly_product
-from cycaut.group import build_group, filter_generators
+from cycaut.group import PermGroup, filter_generators
 from cycaut.perm import Permutation, format_cycles, parse_cycles
 from cycaut.verify import brute_force_aut, is_automorphism
 
@@ -46,8 +46,8 @@ class TestBlockRows:
 
     def test_generated_order_is_factorial_power(self):
         # (S_2)^7 has order 2^7; the engine is the oracle here
-        assert build_group(block_row_generators(2, 7), degree=14).order() == 2**7
-        assert build_group(block_row_generators(3, 4), degree=12).order() == 6**4
+        assert PermGroup(block_row_generators(2, 7), degree=14).order() == 2**7
+        assert PermGroup(block_row_generators(3, 4), degree=12).order() == 6**4
 
     def test_k1_rejected(self):
         with pytest.raises(ValueError):
@@ -178,7 +178,7 @@ class TestMultipliers:
         code = CyclicCode(31, parse_poly_product("(x^5+x^2+1)(x^5+x^3+1)"))
         units = multiplier_subgroup(code)
         assert len(units) == 10
-        grp = build_group([shift(31)] + [multiplier(a, 31) for a in units if a != 1])
+        grp = PermGroup([shift(31)] + [multiplier(a, 31) for a in units if a != 1])
         assert grp.order() == 310
 
     def test_three_quintic_subgroup(self):
@@ -187,7 +187,7 @@ class TestMultipliers:
         )
         units = multiplier_subgroup(code)
         assert len(units) == 5
-        grp = build_group([shift(31)] + [multiplier(a, 31) for a in units if a != 1])
+        grp = PermGroup([shift(31)] + [multiplier(a, 31) for a in units if a != 1])
         assert grp.order() == 155
 
     def test_subgroup_closed_and_contains_frobenius(self):
@@ -220,5 +220,5 @@ class TestConstructedGroupOrders:
         taus = filter_generators(brute_force_aut(inner), n)
         for k in (2, 3):
             gens = block_row_generators(k, n) + [lifted_column_perm(t, k) for t in taus]
-            grp = build_group(gens, degree=n * k)
+            grp = PermGroup(gens, degree=n * k)
             assert grp.order() == math.factorial(k) ** n * inner_order

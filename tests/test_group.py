@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import cycaut.group as group_module
 from cycaut.construct import shift
-from cycaut.group import PermGroup, build_group, filter_generators
+from cycaut.group import PermGroup, filter_generators
 from cycaut.perm import Permutation, parse_cycles
 
 
 def G(*cycle_texts, degree):
-    return build_group([parse_cycles(t, degree) for t in cycle_texts], degree=degree)
+    return PermGroup([parse_cycles(t, degree) for t in cycle_texts], degree=degree)
 
 
 class TestOrder:
@@ -19,18 +19,18 @@ class TestOrder:
         assert G("(1,2)", "(1,2,3)", degree=3).order() == 6
 
     def test_trivial_group(self):
-        assert build_group([], degree=5).order() == 1
+        assert PermGroup([], degree=5).order() == 1
 
     def test_s7(self):
         assert G("(1,2)", "(1,2,3,4,5,6,7)", degree=7).order() == 5040
 
     def test_transposition_product(self):
         gens = [parse_cycles(f"({i},{i + 7})", 14) for i in range(1, 8)]
-        assert build_group(gens, degree=14).order() == 2**7
+        assert PermGroup(gens, degree=14).order() == 2**7
 
     def test_cyclic_group_order_up_to_100(self):
         for n in range(1, 101):
-            assert build_group([shift(n)]).order() == n
+            assert PermGroup([shift(n)]).order() == n
 
     def test_full_automorphism_list_as_generators(self):
         from cycaut.code import CyclicCode
@@ -38,15 +38,15 @@ class TestOrder:
         from cycaut.verify import brute_force_aut
 
         autos = brute_force_aut(CyclicCode(7, parse_poly("x^3+x+1")))
-        assert build_group(autos, degree=7).order() == 168
+        assert PermGroup(autos, degree=7).order() == 168
 
     def test_mixed_degrees_rejected(self):
         with pytest.raises(ValueError):
-            build_group([Permutation.identity(3), Permutation.identity(4)])
+            PermGroup([Permutation.identity(3), Permutation.identity(4)])
 
     def test_empty_needs_degree(self):
         with pytest.raises(ValueError):
-            build_group([])
+            PermGroup([])
 
 
 class TestMembership:
@@ -76,7 +76,7 @@ class TestMembership:
 
 class TestRandomElement:
     def test_trivial_group_gives_identity(self):
-        assert build_group([], degree=4).random_element(7).is_identity()
+        assert PermGroup([], degree=4).random_element(7).is_identity()
 
     def test_deterministic(self):
         grp = G("(1,2)", "(1,2,3,4)", degree=4)
@@ -99,7 +99,7 @@ class TestFilterGenerators:
         elements = [s4.random_element(seed) for seed in range(40)]
         kept = filter_generators(elements, 4)
         assert len(kept) < len(elements)
-        assert build_group(kept, degree=4).order() == s4.order()
+        assert PermGroup(kept, degree=4).order() == s4.order()
 
     def test_empty(self):
         assert filter_generators([], 5) == []
@@ -140,7 +140,7 @@ class TestFilterGeneratorsSymmetricStop:
         kept = filter_generators(perms, n)
         assert kept == _reference_reduction(perms, n)
         assert filter_generators(perms) == kept
-        assert build_group(kept, degree=n).order() == math.factorial(n)
+        assert PermGroup(kept, degree=n).order() == math.factorial(n)
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_whole_symmetric_group_of_small_degree(self, degree):
@@ -193,7 +193,7 @@ class TestBasePairSkip:
         assert grp.orbit_sizes() == [4, 3, 2]
         # the point stabilizer of 1, built from the chain's next level, is
         # S_3 on {2,3,4}; the pairs of (2,3) alone would give order 2
-        stab = build_group(
+        stab = PermGroup(
             [Permutation(g) for g, _ in grp._chain.levels[1].gens], degree=4
         )
         assert stab.order() == 6
@@ -212,7 +212,7 @@ class TestSmallDegrees:
     @pytest.mark.parametrize("degree", [0, 1])
     def test_trivial_degrees(self, degree):
         e = Permutation.identity(degree)
-        for grp in (build_group([], degree=degree), build_group([e])):
+        for grp in (PermGroup([], degree=degree), PermGroup([e])):
             assert grp.order() == 1
             assert grp.base_points() == []
             assert grp.contains(e)
@@ -222,11 +222,11 @@ class TestSmallDegrees:
     def test_degree_two(self):
         e = Permutation.identity(2)
         t = parse_cycles("(1,2)", 2)
-        trivial = build_group([e])
+        trivial = PermGroup([e])
         assert trivial.order() == 1
         assert not trivial.contains(t)
         assert trivial.random_element(0) == e
-        grp = build_group([t])
+        grp = PermGroup([t])
         assert grp.order() == 2
         assert grp.base_points() == [0]
         assert grp.contains(e) and grp.contains(t)
@@ -253,7 +253,7 @@ class TestAgainstSympy:
         n = data.draw(st.integers(min_value=2, max_value=12))
         k = data.draw(st.integers(min_value=1, max_value=3))
         gens = [_subrange_perm(data, n) for _ in range(k)]
-        ours = build_group(gens, degree=n).order()
+        ours = PermGroup(gens, degree=n).order()
         theirs = sympy_perms.PermutationGroup(
             [sympy_perms.Permutation(list(g.images)) for g in gens]
         ).order()
@@ -268,7 +268,7 @@ class TestAgainstSympy:
         candidate = _subrange_perm(data, n)
         if data.draw(st.booleans()):
             candidate = gens[0] * gens[1]
-        ours = build_group(gens, degree=n).contains(candidate)
+        ours = PermGroup(gens, degree=n).contains(candidate)
         theirs = sympy_perms.PermutationGroup(
             [sympy_perms.Permutation(list(g.images)) for g in gens]
         ).contains(sympy_perms.Permutation(list(candidate.images)))

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from cycaut.code import Codeword, apply_to_word
 from cycaut.construct import shift
-from cycaut.perm import Permutation, compose, format_cycles, parse_cycles
+from cycaut.perm import Permutation, format_cycles, parse_cycles
 
 
 @st.composite
@@ -116,11 +116,6 @@ class TestWordAction:
         shifted = apply_to_word(shift(n), w)
         expected = Codeword.from_text(str(w)[-1] + str(w)[:-1])
         assert shifted == expected
-
-    def test_compose_alias(self):
-        a = parse_cycles("(1,2)", 3)
-        b = parse_cycles("(1,3)", 3)
-        assert compose(a, b) == a * b
 
 
 class TestConstructorCheck:

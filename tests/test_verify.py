@@ -9,7 +9,7 @@ from cycaut.construct import multiplier, pair_swap, shift
 from cycaut.gf2poly import Gf2Poly, divisors_of_xn_minus_1, parse_poly, parse_poly_product
 import cycaut.manifest as manifest_module
 import cycaut.verify as verify_module
-from cycaut.group import build_group, filter_generators
+from cycaut.group import PermGroup, filter_generators
 from cycaut.manifest import default_manifest_path, expand_constructions, load_manifest, run_entry
 from cycaut.perm import Permutation, parse_cycles
 from cycaut.verify import (
@@ -172,7 +172,7 @@ class TestBruteForce:
         # reducing while enumerating keeps the in-order decisions of a
         # reduction of the full list
         assert gens == filter_generators(autos, 7)
-        assert build_group(gens, degree=7).order() == 168
+        assert PermGroup(gens, degree=7).order() == 168
 
     def test_group_reduction_never_holds_every_automorphism(self, monkeypatch):
         offered = []
@@ -188,7 +188,7 @@ class TestBruteForce:
         code = CyclicCode(7, parse_poly_product("(x^3+x+1)(x^3+x^2+1)"))
         count, gens = brute_force_group(code)
         assert count == 5040 and offered == [7]
-        assert build_group(gens, degree=7).order() == 5040
+        assert PermGroup(gens, degree=7).order() == 5040
 
     def test_closure_failure_raises_for_the_streamed_reduction(self, monkeypatch):
         # a reduction that drops generators makes the count and the order differ
@@ -249,14 +249,14 @@ def _membership_first(code, group, trials, seed):
 class TestSampleOutside:
     def test_escapes_match_a_membership_first_count(self):
         # <shift> has order 7 inside Aut = 168, so draws escape
-        cyclic = build_group([shift(7)], degree=7)
+        cyclic = PermGroup([shift(7)], degree=7)
         for seed in range(6):
             escapes = sample_outside(HAMMING, cyclic, 300, seed)
             assert escapes == _membership_first(HAMMING, cyclic, 300, seed)[0]
             assert escapes > 0
 
     def test_membership_is_asked_only_for_automorphisms(self):
-        cyclic = build_group([shift(7)], degree=7)
+        cyclic = PermGroup([shift(7)], degree=7)
         automorphisms = _membership_first(HAMMING, cyclic, 300, 2)[1]
         asked = []
         real = cyclic.contains
@@ -271,22 +271,22 @@ class TestSampleOutside:
         assert all(is_automorphism(HAMMING, p) for p in asked)
 
     def test_full_group_leaves_nothing_outside(self):
-        s7 = build_group([parse_cycles("(1,2)", 7), shift(7)])
+        s7 = PermGroup([parse_cycles("(1,2)", 7), shift(7)])
         assert sample_outside(HAMMING, s7, 200, seed=1) == 0
 
     def test_full_automorphism_group_has_no_escapes(self):
-        aut = build_group(filter_generators(brute_force_aut(HAMMING), 7), degree=7)
+        aut = PermGroup(filter_generators(brute_force_aut(HAMMING), 7), degree=7)
         assert sample_outside(HAMMING, aut, 500, seed=0) == 0
 
     def test_counts_against_trivial_group(self):
-        trivial = build_group([], degree=7)
+        trivial = PermGroup([], degree=7)
         count = sample_outside(HAMMING, trivial, 1000, seed=0)
         # P(random in Aut) = 168/5040 = 1/30; the seeded draw is deterministic
         assert count == sample_outside(HAMMING, trivial, 1000, seed=0)
         assert 10 <= count <= 70
 
     def test_deterministic_per_seed(self):
-        trivial = build_group([], degree=7)
+        trivial = PermGroup([], degree=7)
         a = sample_outside(HAMMING, trivial, 100, seed=3)
         b = sample_outside(HAMMING, trivial, 100, seed=4)
         assert a == sample_outside(HAMMING, trivial, 100, seed=3)
@@ -344,7 +344,7 @@ class TestVerifyClaim:
                 {"kind": "pair_swap"},
             ],
         )
-        grp = build_group([p for _, p in gens], degree=14)
+        grp = PermGroup([p for _, p in gens], degree=14)
         assert grp.order() == 56448
         assert grp.contains(shift(14))
 
@@ -357,11 +357,14 @@ class TestVerifyClaim:
     def test_containment_mode(self):
         code = CyclicCode(14, parse_poly_product("(x^3+x+1)^2"))
         gens = [("s", shift(14))]
-        report = verify_claim(code, gens, 56448, exact=False)
+        report = verify_claim(code, gens, 56448, method="containment")
         assert report.passed
         assert report.computed_order == 14
-        report = verify_claim(code, gens, 56449, exact=False)
+        report = verify_claim(code, gens, 56449, method="containment")
         assert not report.passed
+        assert "does not divide" in report.reason
+        # the same claim as "construct" needs equality
+        assert not verify_claim(code, gens, 56448).passed
 
 
 class TestAutomorphismInvariants:
@@ -374,7 +377,7 @@ class TestAutomorphismInvariants:
             autos = brute_force_aut(code)
             assert shift(n) in autos
             # group closure/inverse via the chain: generated order == count
-            grp = build_group(filter_generators(autos, n), degree=n)
+            grp = PermGroup(filter_generators(autos, n), degree=n)
             assert grp.order() == len(autos)
             aset = {a.images for a in autos}
             for a in autos[:: max(1, len(autos) // 20)]:
