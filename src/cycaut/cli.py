@@ -4,6 +4,10 @@ Subcommands: factor, code-info, aut-brute, aut-construct, multipliers,
 verify-table.  Exit codes: 0 all verifications pass, 1 a mathematical
 claim failed, 2 input or usage error.  All numeric output is decimal;
 orders are printed as exact decimal strings.
+
+verify-table runs the entries of its manifest one at a time, in order,
+and prints the report of each as it finishes: `report_record` as a JSON
+line with --json, else `VerificationReport.summary()`.
 """
 
 from __future__ import annotations
@@ -16,16 +20,15 @@ import sys
 from .code import CyclicCode
 from .construct import multiplier_subgroup
 from .gf2poly import factor_xn_minus_1, parse_poly_product
-from .group import PermGroup
 from .manifest import (
     BRUTE_FORCE_MAX_N,
-    SHIFT_MULTIPLIERS,
     default_manifest_path,
     expand_constructions,
     load_manifest,
     parse_order,
     report_record,
     run_entry,
+    unchecked_report,
     validate_constructions,
 )
 from .verify import VerificationReport, brute_force_group, verify_claim
@@ -42,7 +45,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--seed", type=int, default=0, help="default sampling seed")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel manifest entries")
     parser.add_argument(
         "--max-n",
         type=int,
@@ -142,11 +144,10 @@ def _cmd_aut_construct(args) -> int:
     else:
         with open(args.spec_file, encoding="utf-8") as fh:
             specs = json.load(fh)
-    validate_constructions(specs, "--spec" if args.spec else "--spec-file")
-    expected = None if args.expect is None else parse_order(args.expect, "--expect")
     code = CyclicCode(args.n, parse_poly_product(args.generator))
+    validate_constructions(specs, code.length, "--spec" if args.spec else "--spec-file")
+    expected = None if args.expect is None else parse_order(args.expect, "--expect")
     generators = expand_constructions(code, specs, cache={})
-    # without --expect, the claim fails but its order is still computed
     report = verify_claim(code, generators, expected)
     order = report.computed_order
     if order is None:
@@ -159,17 +160,19 @@ def _cmd_aut_construct(args) -> int:
         lines.extend(gens)
         payload["generators"] = [str(p) for _, p in generators]
     _emit(args, payload, lines)
-    if expected is not None and not report.passed:
+    if not report.passed:
         print(f"FAIL: computed {order}, expected {args.expect}", file=sys.stderr)
         return 1
     return 0
 
 
 def _cmd_multipliers(args) -> int:
+    """The units U that preserve the code, and the order n*|U| of the
+    group they generate with the shift: U is a group, so <shift, U> is
+    {i -> a*i + b : a in U}."""
     code = CyclicCode(args.n, parse_poly_product(args.generator))
     units = multiplier_subgroup(code)
-    gens = expand_constructions(code, SHIFT_MULTIPLIERS)
-    order = PermGroup([p for _, p in gens], degree=code.length).order()
+    order = code.length * len(units)
     lines = [
         "units: " + " ".join(str(a) for a in units),
         f"count: {len(units)}",
@@ -191,30 +194,15 @@ def _cmd_multipliers(args) -> int:
 _ENTRY_ERRORS = (ValueError, ZeroDivisionError, RuntimeError)
 
 
-def _entry_record(entry: dict, max_n: int, seed: int, cache: dict) -> dict:
-    """The record of one entry, with its reason under "_reason" and, when
-    the entry raised, the error text under "_error"."""
-    error = None
+def _entry_report(entry: dict, args, cache: dict) -> tuple[VerificationReport, str | None]:
+    """The report of one entry and, when the entry raised, the error text,
+    which is then also the reason of its failing report."""
     try:
-        report = run_entry(entry, max_brute_n=max_n, default_seed=seed, cache=cache)
+        report = run_entry(entry, max_brute_n=args.max_n, default_seed=args.seed, cache=cache)
     except _ENTRY_ERRORS as exc:
         error = f"entry {entry['name']!r}: {exc}"
-        report = VerificationReport(
-            name=entry["name"],
-            n=int(entry["n"]),
-            generator=str(parse_poly_product(entry["generator"])),
-            expected_order=int(entry["expected_order"]),
-            method=entry["method"],
-            reason=error,
-        )
-    record = report_record(report)
-    record["_reason"] = report.reason
-    record["_error"] = error
-    return record
-
-
-def _run_entry_record(task) -> dict:
-    return _entry_record(*task, cache={})
+        return unchecked_report(entry, error), error
+    return report, None
 
 
 def _cmd_verify_table(args) -> int:
@@ -225,41 +213,17 @@ def _cmd_verify_table(args) -> int:
     entries = load_manifest(path, max_brute_n=args.max_n)
     if args.filter:
         entries = [e for e in entries if args.filter in e["name"]]
-    tasks = [(entry, args.max_n, args.seed) for entry in entries]
-    if args.jobs > 1 and len(tasks) > 1:
-        # imported here: the process-pool machinery adds about 2 MB and 30
-        # modules to every run, and only parallel runs use it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_run_entry_record, tasks))
-    else:
-        cache: dict = {}
-        records = [_entry_record(*task, cache=cache) for task in tasks]
-
+    cache: dict = {}
     failures = errors = 0
-    for record in records:
-        reason = record.pop("_reason")
-        error = record.pop("_error")
+    for entry in entries:
+        report, error = _entry_report(entry, args, cache)
         if error is not None:
             errors += 1
             print(f"error: {error}", file=sys.stderr)
-        if args.json:
-            print(json.dumps(record))
-        else:
-            verdict = "PASS" if record["pass"] else "FAIL"
-            line = (
-                f"{verdict} {record['name']}: n={record['n']} "
-                f"expected={record['expected_order']} computed={record['computed_order']} "
-                f"({record['elapsed_ms']:.0f} ms)"
-            )
-            if reason:
-                line += f" -- {reason}"
-            print(line)
-        if not record["pass"]:
-            failures += 1
+        print(json.dumps(report_record(report)) if args.json else report.summary())
+        failures += not report.passed
     if not args.json:
-        print(f"{len(records) - failures}/{len(records)} entries passed")
+        print(f"{len(entries) - failures}/{len(entries)} entries passed")
     return 2 if errors else 1 if failures else 0
 
 

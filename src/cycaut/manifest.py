@@ -54,14 +54,19 @@ seed, the factor pairs) that is not a JSON integer or is out of range, or
 a brute-force length beyond its cutoff rejects the file, naming the entry
 and the field.  The cutoff is `max_brute_n` (the `--max-n` of a run) for
 a "brute" entry and BRUTE_FORCE_MAX_N for a "brute" inner source, as
-`run_entry` and `expand_source` apply them.
+`run_entry` and `expand_source` apply them.  So does a value that does
+not fit the length of its record: a K or R that does not divide it, a
+block_rows K below 2, an odd length for pair_swap or interleaved_lift,
+an interleaved row other than 1 or 2, an "at" row outside 1..R, a
+multiplier that is not a unit, a cycle text that does not parse at its
+degree (R for row_permutation), an inner source of another degree than
+the one noted above, or a generator that does not divide x^n+1.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from importlib.resources import files
 from time import perf_counter
 
@@ -81,7 +86,6 @@ from .gf2poly import parse_poly_product
 from .perm import Permutation, parse_cycles
 from .verify import BRUTE_FORCE_MAX_N, VerificationReport, brute_force_group, verify_claim
 
-MANIFEST_ENV_VAR = "CYCAUT_MANIFEST"
 METHODS = ("brute", "construct", "multiplier", "containment")
 # The generators of the shift-and-multiplier group: the `multiplier`
 # method and the `shift_multipliers` inner source.
@@ -89,9 +93,6 @@ SHIFT_MULTIPLIERS = [{"kind": "shift"}, {"kind": "multipliers"}]
 
 
 def default_manifest_path() -> str:
-    env = os.environ.get(MANIFEST_ENV_VAR)
-    if env:
-        return env
     return str(files("cycaut").joinpath("manifests/default.json"))
 
 
@@ -180,13 +181,10 @@ def _validate_entry(entry: dict, max_brute_n: int) -> None:
     if method in ("construct", "containment"):
         if not entry.get("construction"):
             raise ValueError(f"{where} needs a construction list")
-        validate_constructions(entry["construction"], f"{where}: construction")
+        validate_constructions(entry["construction"], entry["n"], f"{where}: construction")
     elif "construction" in entry:
         raise ValueError(f"{where}: method {method!r} takes no field 'construction'")
-    try:
-        _code_for(entry["n"], entry["generator"])
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+    _check_code(entry, where)
 
 
 def parse_order(value, where: str) -> int:
@@ -198,17 +196,20 @@ def parse_order(value, where: str) -> int:
     return int(text)
 
 
-def validate_constructions(specs, where: str = "construction") -> None:
-    """Reject a construction list with an unknown kind, inner source or
-    field, a missing field, or an integer field that is not a JSON integer
-    in range, naming the record (`where` prefixes it)."""
+def validate_constructions(specs, n: int, where: str = "construction") -> None:
+    """Reject a construction list for length n with an unknown kind, inner
+    source or field, a missing field, an integer field that is not a JSON
+    integer in range, or a value that does not fit its length (see the
+    module docstring), naming the record (`where` prefixes it)."""
     if not isinstance(specs, list):
         raise ValueError(f"{where} must be a list of construction records")
     for idx, spec in enumerate(specs):
-        _check_record(spec, f"{where}[{idx}]", "kind", _KINDS)
+        _check_record(spec, f"{where}[{idx}]", "kind", _KINDS, n)
 
 
-def _check_record(record, where: str, tag: str, schema: dict) -> None:
+def _check_record(record, where: str, tag: str, schema: dict, degree: int) -> None:
+    """Check a construction record of length `degree`, or an inner source
+    that must have that degree."""
     if not isinstance(record, dict):
         raise ValueError(f"{where} must be an object")
     kind = record.get(tag)
@@ -218,12 +219,81 @@ def _check_record(record, where: str, tag: str, schema: dict) -> None:
     named = f"{where} ({tag} {kind!r})"
     _check_fields(record, named, required, (tag, *optional))
     _check_integers(record, named, kind)
-    if tag == "source" and kind == "brute":
-        _check_brute_length(record["n"], BRUTE_FORCE_MAX_N, named)
-    if "inner" in record:
-        _check_record(record["inner"], f"{where}.inner", "source", _SOURCES)
-    if "specs" in record:
-        validate_constructions(record["specs"], f"{where}.specs")
+    if tag == "kind":
+        part = _check_fit(record, named, degree)
+        if "inner" in record:
+            _check_record(record["inner"], f"{where}.inner", "source", _SOURCES, part)
+    else:
+        _check_source(record, named, degree)
+        if "specs" in record:
+            validate_constructions(record["specs"], record["n"], f"{where}.specs")
+
+
+def _check_fit(spec: dict, where: str, n: int) -> int:
+    """Reject a construction record whose values do not fit length n, and
+    return the length of its parts, which its inner source must have."""
+    kind = spec["kind"]
+    if kind in ("pair_swap", "interleaved_lift"):
+        if n % 2:
+            raise ValueError(f"{where} needs an even length, not {n}")
+        for idx, row in enumerate(spec.get("rows", ())):
+            if row not in (1, 2):
+                raise ValueError(f"{where}: field 'rows'[{idx}] must be 1 or 2: {row}")
+        return n // 2
+    if kind in ("block_rows", "lifted_column", "residue_lift", "row_permutation"):
+        key = "k" if "k" in spec else "rows"
+        parts = spec[key]
+        if kind == "block_rows" and parts < 2:
+            raise ValueError(f"{where}: field 'k' must be at least 2: {parts}")
+        if n % parts:
+            raise ValueError(f"{where}: field {key!r} = {parts} does not divide the length {n}")
+        for idx, row in enumerate(spec.get("at", ())):
+            if not 1 <= row <= parts:
+                raise ValueError(f"{where}: field 'at'[{idx}] = {row} is outside 1..{parts}")
+        if kind == "row_permutation":
+            _check_cycles(spec, "perms", where, parts)
+        return n // parts
+    if kind == "multiplier" and math.gcd(spec["a"], n) != 1:
+        raise ValueError(f"{where}: field 'a' = {spec['a']} is not a unit mod {n}")
+    if kind == "perms":
+        _check_cycles(spec, "cycles", where, n)
+    return n
+
+
+def _check_source(source: dict, where: str, degree: int) -> None:
+    """Reject an inner source beyond the brute-force cutoff, of another
+    degree than `degree`, with a cycle text that does not parse at its
+    degree, or with a generator that does not divide x^n+1."""
+    kind = source["source"]
+    if kind == "brute":
+        _check_brute_length(source["n"], BRUTE_FORCE_MAX_N, where)
+    key = "degree" if kind == "perms" else "n"
+    if source[key] != degree:
+        raise ValueError(f"{where}: field {key!r} = {source[key]} is not the inner degree {degree}")
+    if kind == "perms":
+        _check_cycles(source, "cycles", where, degree)
+    else:
+        _check_code(source, where)
+
+
+def _check_cycles(record: dict, key: str, where: str, degree: int) -> None:
+    texts = record[key]
+    if not isinstance(texts, list):
+        raise ValueError(f"{where}: field {key!r} must be a list of cycle texts: {texts!r}")
+    for idx, text in enumerate(texts):
+        if not isinstance(text, str):
+            raise ValueError(f"{where}: field {key!r}[{idx}] must be a cycle text: {text!r}")
+        try:
+            parse_cycles(text, degree)
+        except ValueError as exc:
+            raise ValueError(f"{where}: field {key!r}[{idx}]: {exc}") from None
+
+
+def _check_code(record: dict, where: str) -> None:
+    try:
+        _code_for(record["n"], record["generator"])
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _check_fields(record, where: str, required, optional) -> None:
@@ -386,20 +456,14 @@ def run_entry(
     name = entry["name"]
     method = entry["method"]
     expected = int(entry["expected_order"])
-    code = _code_for(entry["n"], entry["generator"])
-
     factors = entry.get("expected_order_factors")
     if factors is not None:
         claimed = math.prod(int(b) ** int(e) for b, e in factors)
         if claimed != expected:
-            return VerificationReport(
-                name=name,
-                n=code.length,
-                generator=str(code.generator),
-                expected_order=expected,
-                method=method,
-                reason=f"expected_order {expected} does not equal the factored form {claimed}",
+            return unchecked_report(
+                entry, f"expected_order {expected} does not equal the factored form {claimed}"
             )
+    code = _code_for(entry["n"], entry["generator"])
 
     sampling = None
     if entry.get("sampling"):
@@ -421,6 +485,19 @@ def run_entry(
     )
     report.elapsed_ms += expansion_ms
     return report
+
+
+def unchecked_report(entry: dict, reason: str) -> VerificationReport:
+    """The failing report of an entry whose claim was not checked."""
+    code = _code_for(entry["n"], entry["generator"])
+    return VerificationReport(
+        name=entry["name"],
+        n=code.length,
+        generator=str(code.generator),
+        expected_order=int(entry["expected_order"]),
+        method=entry["method"],
+        reason=reason,
+    )
 
 
 def report_record(report: VerificationReport) -> dict:

@@ -41,10 +41,6 @@ class Permutation:
     def identity(cls, degree: int) -> Permutation:
         return cls(tuple(range(degree)))
 
-    @staticmethod
-    def from_cycles(text: str, degree: int) -> Permutation:
-        return parse_cycles(text, degree)
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
@@ -87,7 +83,7 @@ class Permutation:
         return format_cycles(self)
 
     def __repr__(self) -> str:
-        return f"Permutation.from_cycles({format_cycles(self)!r}, {self.degree})"
+        return f"parse_cycles({format_cycles(self)!r}, {self.degree})"
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:

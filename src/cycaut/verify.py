@@ -203,7 +203,7 @@ class VerificationReport:
     name: str
     n: int
     generator: str
-    expected_order: int
+    expected_order: int | None
     method: str
     computed_order: int | None = None
     passed: bool = False
@@ -233,7 +233,7 @@ class VerificationReport:
 def verify_claim(
     code: CyclicCode,
     generators: list[tuple[str, Permutation]],
-    expected_order: int,
+    expected_order: int | None,
     *,
     name: str = "claim",
     method: str = "construct",
@@ -244,7 +244,8 @@ def verify_claim(
     Every generator must individually pass is_automorphism (none is
     trusted by construction).  The exact order of the group they generate
     must equal the expected order, or divide it for method "containment"
-    (subgroup-only claims).  When sampling=(trials, seed) is given, that
+    (subgroup-only claims); expected_order=None computes the order without
+    comparing it.  When sampling=(trials, seed) is given, that
     many random permutations outside the group must all fail
     is_automorphism; membership needs the full stabilizer chain, so the
     order then comes from it.  Otherwise it comes from `exact_order`.
@@ -280,11 +281,12 @@ def _failure(report, code, generators, sampling) -> str:
         grp = PermGroup(gens, degree=code.length)
         report.computed_order, report.details["order"] = chain_order(grp)
     computed, expected = report.computed_order, report.expected_order
-    if report.method == "containment":
-        if expected % computed:
-            return f"constructed subgroup order {computed} does not divide expected {expected}"
-    elif computed != expected:
-        return f"order mismatch: computed {computed}, expected {expected}"
+    if expected is not None:
+        if report.method == "containment":
+            if expected % computed:
+                return f"constructed subgroup order {computed} does not divide expected {expected}"
+        elif computed != expected:
+            return f"order mismatch: computed {computed}, expected {expected}"
     if sampling is not None:
         trials, seed = sampling
         report.sample_trials = trials

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import cycaut.cli as cli_module
+import cycaut.manifest as manifest_module
 from cycaut.cli import main
 from cycaut.manifest import (
     default_manifest_path,
@@ -224,18 +225,29 @@ class TestVerifyTable:
         code, _, err = run_cli(capsys, "verify-table", str(path))
         assert code == 2
 
-    def test_env_var_sets_default_manifest(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "tiny.json"
-        path.write_text(
-            json.dumps(
-                [{"name": "t", "n": 7, "generator": "x^3+x+1",
-                  "expected_order": "168", "method": "brute"}]
-            )
-        )
-        monkeypatch.setenv("CYCAUT_MANIFEST", str(path))
-        code, out, _ = run_cli(capsys, "verify-table")
+    def test_environment_does_not_replace_the_bundled_manifest(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("CYCAUT_MANIFEST", str(tmp_path / "missing.json"))
+        code, out, _ = run_cli(capsys, "verify-table", "--filter", "len7")
         assert code == 0
-        assert "1/1 entries passed" in out
+        assert "2/2 entries passed" in out
+
+    def test_text_lines_are_the_report_summaries(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-table", "--filter", "len14-squared")
+        assert code == 0
+        line, footer = out.splitlines()
+        assert line.startswith(
+            "PASS len14-squared-cubic: n=14 g=x^6+x^2+1 expected=56448 computed=56448 [construct, "
+        )
+        assert line.endswith(" ms, sampled 1000 outside (seed 0), 0 escapes]")
+        assert footer == "1/1 entries passed"
+
+    def test_jobs_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", "2", "verify-table"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: cycaut")
 
     def test_json_output_deterministic(self, capsys):
         code1, out1, _ = run_cli(capsys, "--json", "verify-table", "--filter", "len7")
@@ -255,25 +267,14 @@ class TestVerifyTable:
             "computed_order", "pass", "elapsed_ms", "seed",
         }
 
-    def test_jobs_parallel_matches_serial(self, capsys):
-        code1, out1, _ = run_cli(capsys, "--json", "verify-table", "--filter", "len31")
-        code2, out2, _ = run_cli(
-            capsys, "--json", "--jobs", "2", "verify-table", "--filter", "len31"
-        )
-        assert code1 == code2 == 0
-
-        def strip_elapsed(text):
-            rows = [json.loads(line) for line in text.splitlines()]
-            for row in rows:
-                row.pop("elapsed_ms")
-            return rows
-
-        assert strip_elapsed(out1) == strip_elapsed(out2)
-
 
 class TestEntryIsolation:
     """A run-time error in one entry fails that entry only: every other
-    entry still runs and prints its usual record, and the run exits 2."""
+    entry still runs and prints its usual record, and the run exits 2.
+
+    BAD does not fit its length, which `load_manifest` rejects; the
+    construction checks of the loader are switched off here so that BAD
+    reaches `expand_constructions` and raises there."""
 
     GOOD_A = {"name": "good-a", "n": 7, "generator": "x^3+x+1",
               "expected_order": "168", "method": "brute"}
@@ -283,6 +284,10 @@ class TestEntryIsolation:
     GOOD_B = {"name": "good-b", "n": 31, "generator": "(x^5+x^2+1)(x^5+x^3+1)",
               "expected_order": "310", "method": "multiplier"}
 
+    @pytest.fixture(autouse=True)
+    def _load_without_construction_checks(self, monkeypatch):
+        monkeypatch.setattr(manifest_module, "validate_constructions", lambda *args: None)
+
     @staticmethod
     def _records(text):
         rows = [json.loads(line) for line in text.splitlines()]
@@ -290,16 +295,13 @@ class TestEntryIsolation:
             row.pop("elapsed_ms")
         return rows
 
-    def _run(self, tmp_path, capsys, entries, *options):
+    def _run(self, tmp_path, capsys, entries):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(entries))
-        return run_cli(capsys, "--json", *options, "verify-table", str(path))
+        return run_cli(capsys, "--json", "verify-table", str(path))
 
-    @pytest.mark.parametrize("options", [(), ("--jobs", "2")], ids=["serial", "jobs2"])
-    def test_bad_entry_between_two_good_ones(self, tmp_path, capsys, options):
-        code, out, err = self._run(
-            tmp_path, capsys, [self.GOOD_A, self.BAD, self.GOOD_B], *options
-        )
+    def test_bad_entry_between_two_good_ones(self, tmp_path, capsys):
+        code, out, err = self._run(tmp_path, capsys, [self.GOOD_A, self.BAD, self.GOOD_B])
         assert code == 2
         assert err.strip() == "error: entry 'bad-rows': block_rows: 5 does not divide 49"
         good_code, good_out, _ = self._run(tmp_path, capsys, [self.GOOD_A, self.GOOD_B])
@@ -535,6 +537,97 @@ class TestBruteForceCutoffAtLoad:
         code, out, err = run_cli(capsys, "aut-construct", "11", "x+1", "--spec", spec)
         assert code == 2 and out == ""
         assert "--spec[0].inner (source 'brute'): field 'n' = 11 exceeds" in err
+
+
+class TestRangesAtLoad:
+    """A value that does not fit the length of its record rejects the
+    manifest when it is loaded, naming the entry and the field path."""
+
+    HAMMING_7 = {"source": "brute", "n": 7, "generator": "x^3+x+1"}
+
+    CASES = {
+        "block-rows-k1": (
+            49, "x^3+x+1", [{"kind": "block_rows", "k": 1}],
+            r"construction\[0\] \(kind 'block_rows'\): field 'k' must be at least 2: 1",
+        ),
+        "block-rows-k5": (
+            49, "x^3+x+1", [{"kind": "block_rows", "k": 5}],
+            r"construction\[0\] \(kind 'block_rows'\): field 'k' = 5 does not divide the length 49",
+        ),
+        "lifted-column-k": (
+            14, "(x^3+x+1)^2", [{"kind": "lifted_column", "k": 4, "inner": HAMMING_7}],
+            r"construction\[0\] \(kind 'lifted_column'\): field 'k' = 4 does not divide the length 14",
+        ),
+        "residue-rows": (
+            14, "(x^3+x+1)^2", [{"kind": "residue_lift", "rows": 3, "inner": HAMMING_7}],
+            r"construction\[0\] \(kind 'residue_lift'\): field 'rows' = 3 does not divide the length 14",
+        ),
+        "odd-pair-swap": (
+            7, "x^3+x+1", [{"kind": "pair_swap"}],
+            r"construction\[0\] \(kind 'pair_swap'\) needs an even length, not 7",
+        ),
+        "interleaved-row": (
+            14, "(x^3+x+1)^2",
+            [{"kind": "interleaved_lift", "rows": [1, 3], "inner": HAMMING_7}],
+            r"construction\[0\] \(kind 'interleaved_lift'\): field 'rows'\[1\] must be 1 or 2: 3",
+        ),
+        "non-unit-multiplier": (
+            14, "(x^3+x+1)^2", [{"kind": "multiplier", "a": 2}],
+            r"construction\[0\] \(kind 'multiplier'\): field 'a' = 2 is not a unit mod 14",
+        ),
+        "residue-at": (
+            14, "(x^3+x+1)^2",
+            [{"kind": "residue_lift", "rows": 2, "at": [1, 3], "inner": HAMMING_7}],
+            r"construction\[0\] \(kind 'residue_lift'\): field 'at'\[1\] = 3 is outside 1..2",
+        ),
+        "inner-degree": (
+            14, "(x^3+x+1)^2",
+            [{"kind": "lifted_column", "k": 2,
+              "inner": {"source": "perms", "degree": 14, "cycles": ["(1,2)"]}}],
+            r"construction\[0\]\.inner \(source 'perms'\): field 'degree' = 14 is not the inner degree 7",
+        ),
+        "inner-generator": (
+            14, "(x^3+x+1)^2",
+            [{"kind": "lifted_column", "k": 2,
+              "inner": {"source": "shift_multipliers", "n": 7, "generator": "x^2+x+1"}}],
+            r"construction\[0\]\.inner \(source 'shift_multipliers'\): .*does not divide x\^7\+1",
+        ),
+        "perms-point": (
+            7, "x^3+x+1", [{"kind": "perms", "cycles": ["(1,2)", "(1,8)"]}],
+            r"construction\[0\] \(kind 'perms'\): field 'cycles'\[1\]: point 8 out of range 1..7",
+        ),
+        "perms-not-text": (
+            7, "x^3+x+1", [{"kind": "perms", "cycles": [[1, 2]]}],
+            r"construction\[0\] \(kind 'perms'\): field 'cycles'\[0\] must be a cycle text",
+        ),
+        "row-permutation-point": (
+            14, "(x^3+x+1)^2", [{"kind": "row_permutation", "rows": 2, "perms": ["(1,3)"]}],
+            r"construction\[0\] \(kind 'row_permutation'\): field 'perms'\[0\]: point 3 out of range 1..2",
+        ),
+        "nested-specs": (
+            14, "(x^3+x+1)^2",
+            [{"kind": "interleaved_lift",
+              "inner": {"source": "construct", "n": 7, "generator": "x^3+x+1",
+                        "specs": [{"kind": "multiplier", "a": 7}]}}],
+            r"construction\[0\]\.inner\.specs\[0\] \(kind 'multiplier'\): field 'a' = 7 is not a unit mod 7",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejects(self, tmp_path, case):
+        n, generator, construction, message = self.CASES[case]
+        entry = {"name": case, "n": n, "generator": generator, "expected_order": "1",
+                 "method": "construct", "construction": construction}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(ValueError, match=rf"^entry '{case}': {message}"):
+            load_manifest(str(path))
+
+    def test_aut_construct_spec_is_checked_at_its_length(self, capsys):
+        spec = json.dumps([{"kind": "multiplier", "a": 2}])
+        code, out, err = run_cli(capsys, "aut-construct", "14", "(x^3+x+1)^2", "--spec", spec)
+        assert code == 2 and out == ""
+        assert err == "error: --spec[0] (kind 'multiplier'): field 'a' = 2 is not a unit mod 14\n"
 
 
 class TestParserReuse:

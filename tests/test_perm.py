@@ -59,6 +59,11 @@ class TestCycleNotation:
     def test_roundtrip_example(self):
         assert format_cycles(parse_cycles("(2,14)", 14)) == "(2,14)"
 
+    def test_repr_is_a_parse_cycles_call(self):
+        p = parse_cycles("(1,3)(2,4,5)", 6)
+        assert repr(p) == "parse_cycles('(1,3)(2,4,5)', 6)"
+        assert eval(repr(p), {"parse_cycles": parse_cycles}) == p
+
     def test_whitespace_ignored(self):
         assert parse_cycles("(1, 2, 3) (4,5)", 5) == parse_cycles("(1,2,3)(4,5)", 5)
 

@@ -312,6 +312,16 @@ class TestVerifyClaim:
         assert report.computed_order == 56448
         assert report.sample_escapes == 0
 
+    def test_without_a_claim_the_order_is_only_computed(self):
+        code = CyclicCode(7, parse_poly_product("x^3+x+1"))
+        gens = self._generators_for(code, [{"kind": "shift"}, {"kind": "multipliers"}])
+        report = verify_claim(code, gens, None)
+        assert (report.passed, report.reason, report.computed_order) == (True, "", 21)
+        bad = self._generators_for(code, [{"kind": "perms", "cycles": ["(1,2)"]}])
+        report = verify_claim(code, bad, None)
+        assert not report.passed and report.computed_order is None
+        assert report.reason == "generator perms[0].0 = (1,2) is not an automorphism"
+
     def test_wrong_order_fails_with_both_orders(self):
         code = CyclicCode(14, parse_poly_product("(x^3+x+1)^2"))
         gens = self._generators_for(
