@@ -7,7 +7,7 @@ Usage: python scripts/survey_small_codes.py [--max-n 8]
 
 import argparse
 
-from cycaut import CyclicCode, brute_force_aut, divisors_of_xn_minus_1
+from cycaut import CyclicCode, brute_force_group, divisors_of_xn_minus_1
 
 
 def main() -> None:
@@ -18,12 +18,12 @@ def main() -> None:
     for n in range(1, args.max_n + 1):
         for g in divisors_of_xn_minus_1(n):
             code = CyclicCode(n, g)
-            autos = brute_force_aut(code, max_n=args.max_n)
+            order, _ = brute_force_group(code, max_n=args.max_n)
             dist = code.weight_distribution()
             weights = " ".join(f"{w}:{c}" for w, c in dist.items())
             print(
                 f"[{n},{code.dimension}] g={code.generator}  "
-                f"|Aut|={len(autos)}  weights {weights}"
+                f"|Aut|={order}  weights {weights}"
             )
 
 

@@ -3,7 +3,8 @@
 Subcommands: factor, code-info, aut-brute, aut-construct, multipliers,
 verify-table.  Exit codes: 0 all verifications pass, 1 a mathematical
 claim failed, 2 input or usage error.  All numeric output is decimal;
-orders are printed as exact decimal strings.
+orders are printed as exact decimal strings.  A reader that closes
+stdout early ends the run quietly, with exit 0.
 
 verify-table runs the entries of its manifest one at a time, in order,
 and prints the report of each as it finishes: `report_record` as a JSON
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .code import CyclicCode
@@ -240,7 +242,17 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early (`cycaut verify-table | head -1`):
+        # stop quietly.  Output may still sit in the buffer, so stdout is
+        # pointed at devnull, or the flush at exit would fail once more.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ValueError, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

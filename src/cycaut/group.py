@@ -37,17 +37,27 @@ onto classes, the group G acts on the classes, with image G^D (the block
 action) and kernel K, so |G| = |G^D| * |K|, and K lies inside the product
 of the symmetric groups Sym(B) of the classes B.  When some generators
 that move the points of one class B only generate all of Sym(B), then G
-contains Sym(B), and so its conjugates Sym(g(B)) for every g in G.  Once
-these classes cover all c, K is the whole product, |K| = (k!)^c, and only
-the degree-c chain of G^D is left to build (Seress, Permutation Group
+contains Sym(B), and so its conjugates Sym(g(B)) for every g in G.  When
+one of those generators is a transposition, whether they generate
+Sym(B) is read off the graph of its conjugates, without a chain (see
+`_generates_symmetric`); the constructions supply (1,2) and a k-cycle,
+so the length-1922 claim needs no degree-62 chain.  Once these classes
+cover all c, K is the whole product, |K| = (k!)^c, and only the
+degree-c chain of G^D is left to build (Seress, Permutation Group
 Algorithms, 2003, on block systems and kernels).  The word matrices of
 the block-rows and residue-rows constructions are such systems: their
 rows are permuted freely within each column, and the columns are the
 classes mod the number of columns (or mod the number of rows).
+
+`count_and_sift` reduces a stream of image tuples to generators in one
+loop, for `filter_generators` and for brute force alike: it sifts each
+tuple into one chain until the kept ones generate S_n, and from then on
+only counts, in C.
 """
 
 from __future__ import annotations
 
+import itertools
 from math import factorial
 from operator import itemgetter
 from random import Random
@@ -353,42 +363,92 @@ def _class_images(g: tuple[int, ...], c: int) -> tuple[int, ...] | None:
 
 
 def _generates_symmetric(perms: tuple[tuple[int, ...], ...], k: int) -> bool:
-    """True iff the image tuples generate Sym(k): transitivity first,
-    which is cheap, then the order of a degree-k chain."""
-    seen = {0}
-    pending = [0]
-    while pending:
-        p = pending.pop()
-        for g in perms:
-            if g[p] not in seen:
-                seen.add(g[p])
-                pending.append(g[p])
-    if len(seen) < k:
+    """True iff the image tuples generate Sym(k).
+
+    Transitivity first, which is cheap.  Then, when one of them is a
+    transposition t = (a b): the pairs {g(a), g(b)}, g in the group, are
+    the conjugates of t, transpositions of the group, and they are the
+    closure of {a, b} under the generators.  Transpositions whose graph
+    on the k points is connected generate Sym(k), and in Sym(k) the
+    conjugates of t are all the transpositions, so the group is Sym(k)
+    iff that graph is connected.  Without a transposition, the order of
+    a degree-k chain decides."""
+    if len(_orbit(0, lambda p: [g[p] for g in perms])) < k:
         return False
+    for t in perms:
+        moved = [i for i in range(k) if t[i] != i]
+        if len(moved) == 2:
+            pairs = _orbit(
+                tuple(moved), lambda ab: [tuple(sorted((g[ab[0]], g[ab[1]]))) for g in perms]
+            )
+            adjacent: list[list[int]] = [[] for _ in range(k)]
+            for a, b in pairs:
+                adjacent[a].append(b)
+                adjacent[b].append(a)
+            return len(_orbit(0, adjacent.__getitem__)) == k
     return PermGroup([Permutation(g) for g in perms], degree=k).order() == factorial(k)
+
+
+def _orbit(start, neighbours) -> set:
+    """Everything reachable from start, where neighbours(x) lists the
+    points one step from x."""
+    seen = {start}
+    pending = [start]
+    while pending:
+        for y in neighbours(pending.pop()):
+            if y not in seen:
+                seen.add(y)
+                pending.append(y)
+    return seen
 
 
 def filter_generators(perms, degree: int | None = None) -> list[Permutation]:
     """Reduce a list of permutations to the sublist that incrementally
     generates the same group: each permutation is kept only when the ones
     kept so far do not already produce it.  The permutations are consumed
-    one at a time, so an iterator's items are never all held at once.
+    one at a time, so an iterator's items are never all held at once, and
+    every one is checked for the common degree.  The reduction is
+    `count_and_sift`, which also stops sifting at S_n."""
+    perms = iter(perms)
+    if degree is None:
+        first = next(perms, None)
+        if first is None:
+            return []
+        degree = first.degree
+        perms = itertools.chain([first], perms)
 
-    Once the kept ones generate a group of order n!, that group is S_n and
-    every later permutation is a member, so the rest of the input is
-    consumed (callers may count it) without sifting."""
-    chain = None if degree is None else _Chain(degree)
-    kept: list[Permutation] = []
-    symmetric = False
-    for p in perms:
-        if chain is None:
-            chain = _Chain(p.degree)
-        if p.degree != chain.degree:
-            raise ValueError("generators have mixed degrees")
-        if symmetric:
-            continue
-        if not chain.contains(p.images):
-            chain.extend([p.images])
-            kept.append(p)
-            symmetric = chain.order() == factorial(chain.degree)
-    return kept
+    def images():
+        for p in perms:
+            if p.degree != degree:
+                raise ValueError("generators have mixed degrees")
+            yield p.images
+
+    return [Permutation._trusted(g) for g in count_and_sift(images(), degree)[1]]
+
+
+def count_and_sift(images, degree: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The number of image tuples in an iterable, all of the given degree,
+    and the in-order reduction of `filter_generators`: the tuples that the
+    ones kept before them do not generate.
+
+    Each tuple is sifted into one chain until the kept ones generate a
+    group of order degree!, which is then S_n, so every later tuple is a
+    member.  The rest of the iterable is then only counted, in C, with no
+    Python work per item; it is still consumed to its end, so a filtered
+    stream still tests every item."""
+    items = iter(images)
+    chain = _Chain(degree)
+    full = factorial(degree)
+    kept: list[tuple[int, ...]] = []
+    count = 0
+    for g in items:
+        count += 1
+        if not chain.contains(g):
+            chain.extend([g])
+            kept.append(g)
+            if chain.order() == full:
+                # Something was kept, so degree >= 2 and every tuple is
+                # non-empty: bool counts each one as 1.
+                count += sum(map(bool, items))
+                break
+    return count, kept

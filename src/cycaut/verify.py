@@ -26,6 +26,13 @@ almost always fails on the first row, so looking up the syndromes of all
 n image points first costs more than it saves (brute force over S_7 for
 the eight length-7 codes ran 10-40% slower that way).  `is_automorphism`
 and the brute-force enumerator share this one kernel.
+
+Brute force filters the image tuples of `itertools.permutations` through
+the kernel and streams the survivors into `group.count_and_sift`, one
+loop that counts them and reduces them to generators; the loop is shared
+with `filter_generators`.  Once the kept tuples generate S_n the rest are
+still tested and counted, but not sifted, and no tuple but a kept one is
+wrapped as a `Permutation`.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from time import perf_counter
 
 from .code import CyclicCode
 from .gf2poly import _divmod_bits
-from .group import PermGroup, chain_order, exact_order, filter_generators
+from .group import PermGroup, chain_order, count_and_sift, exact_order
 from .perm import Permutation
 
 BRUTE_FORCE_MAX_N = 10
@@ -123,9 +130,9 @@ def brute_force_aut(code: CyclicCode, max_n: int = BRUTE_FORCE_MAX_N) -> list[Pe
     """All automorphisms of the code, by exhausting S_n in lexicographic
     one-line order.  Guarded by max_n; the count grows as n!.  Raises
     RuntimeError unless they form a group (see `brute_force_group`)."""
-    autos = list(_automorphisms(code, max_n))
-    _closed_reduction(autos, code.length)
-    return autos
+    images = list(_automorphism_images(code, max_n))
+    _closed_reduction(images, code.length)
+    return list(map(Permutation._trusted, images))
 
 
 def brute_force_group(
@@ -135,22 +142,17 @@ def brute_force_group(
     `filter_generators` reduction, made while they are enumerated (in the
     order of `brute_force_aut`), so they are never all held at once.
     Raises RuntimeError unless the reduction generates a group of exactly
-    as many elements as were found, i.e. the enumerated set is closed."""
-    return _closed_reduction(_automorphisms(code, max_n), code.length)
+    as many elements as were found, i.e. the enumerated set is closed.
+    Every permutation of S_n is tested and every automorphism counted;
+    the reduction is `count_and_sift` (see the module docstring)."""
+    return _closed_reduction(_automorphism_images(code, max_n), code.length)
 
 
-def _closed_reduction(perms, n: int) -> tuple[int, list[Permutation]]:
-    """Count and reduce the permutations in one pass; raise RuntimeError
-    unless the reduction generates exactly as many elements."""
-    count = 0
-
-    def counted():
-        nonlocal count
-        for p in perms:
-            count += 1
-            yield p
-
-    gens = filter_generators(counted(), n)
+def _closed_reduction(images, n: int) -> tuple[int, list[Permutation]]:
+    """Count and reduce the image tuples in one pass; raise RuntimeError
+    unless the kept ones generate exactly as many elements."""
+    count, kept = count_and_sift(images, n)
+    gens = [Permutation._trusted(g) for g in kept]
     order = PermGroup(gens, degree=n).order()
     if order != count:
         raise RuntimeError(
@@ -160,18 +162,16 @@ def _closed_reduction(perms, n: int) -> tuple[int, list[Permutation]]:
     return count, gens
 
 
-def _automorphisms(code: CyclicCode, max_n: int):
-    """Iterate lazily over every automorphism of the code, in
-    lexicographic order over S_n.  `itertools.permutations` only makes
-    permutations, so they are wrapped without the check."""
+def _automorphism_images(code: CyclicCode, max_n: int):
+    """Iterate lazily over the image tuples of every automorphism of the
+    code, in lexicographic order over S_n."""
     n = code.length
     if n > max_n:
         raise ValueError(
             f"length {n} exceeds brute-force cutoff {max_n}; "
             "use a constructive verification instead"
         )
-    test = _automorphism_test(n, code.generator.bits)
-    return map(Permutation._trusted, filter(test, itertools.permutations(range(n))))
+    return filter(_automorphism_test(n, code.generator.bits), itertools.permutations(range(n)))
 
 
 def sample_outside(code: CyclicCode, group: PermGroup, trials: int, seed: int) -> int:

@@ -5,7 +5,8 @@ import math
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from cycaut.group import PermGroup, block_order, exact_order
+import cycaut.group as group_module
+from cycaut.group import PermGroup, _generates_symmetric, block_order, exact_order
 from cycaut.manifest import (
     _code_for,
     default_manifest_path,
@@ -130,6 +131,53 @@ class TestRandomWreathProducts:
             assert found is not None
             assert found[0] == chain
         assert exact_order(gens, n)[0] == chain
+
+
+class TestGeneratesSymmetric:
+    """`_generates_symmetric` decides Sym(k) from the graph of the
+    conjugates of a transposition when one generator is a transposition,
+    and from a degree-k chain otherwise."""
+
+    @staticmethod
+    def _no_chain(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chain was built")
+
+        monkeypatch.setattr(group_module, "PermGroup", refuse)
+
+    def test_dihedral_group_of_order_8(self, monkeypatch):
+        # <(1,2), (1,3)(2,4)> is transitive on 4 points and holds a
+        # transposition, but its conjugates (1,2) and (3,4) leave the
+        # graph disconnected: it is the dihedral group of order 8
+        perms = ((1, 0, 2, 3), (2, 3, 0, 1))
+        assert PermGroup([Permutation(g) for g in perms], degree=4).order() == 8
+        self._no_chain(monkeypatch)
+        assert not _generates_symmetric(perms, 4)
+
+    def test_transposition_and_cycle(self, monkeypatch):
+        self._no_chain(monkeypatch)
+        assert _generates_symmetric(((1, 0, 2, 3, 4), (1, 2, 3, 4, 0)), 5)
+        assert _generates_symmetric(((1, 0),), 2)
+
+    def test_without_a_transposition_the_chain_decides(self):
+        # A_4 from two 3-cycles; S_4 from a 4-cycle and a 3-cycle
+        assert not _generates_symmetric(((1, 2, 0, 3), (0, 2, 3, 1)), 4)
+        assert _generates_symmetric(((1, 2, 3, 0), (1, 2, 0, 3)), 4)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_chain(self, data):
+        k = data.draw(st.integers(min_value=1, max_value=6), label="k")
+        perm = st.permutations(range(k)).map(tuple)
+        perms = data.draw(st.lists(perm, min_size=1, max_size=3), label="perms")
+        if k >= 2 and data.draw(st.booleans(), label="transposition"):
+            a, b = data.draw(st.permutations(range(k)), label="pair")[:2]
+            t = list(range(k))
+            t[a], t[b] = b, a
+            perms.insert(data.draw(st.integers(0, len(perms)), label="at"), tuple(t))
+        chain = PermGroup([Permutation(g) for g in perms], degree=k).order()
+        event(f"symmetric={chain == math.factorial(k)}")
+        assert _generates_symmetric(tuple(perms), k) == (chain == math.factorial(k))
 
 
 class TestDeclines:

@@ -16,7 +16,7 @@ from cycaut.manifest import extended_manifest_path, load_manifest, run_entry
 
 
 @pytest.mark.parametrize(
-    ("index", "budget_s"), [(0, 2.0), (1, 6.0)], ids=["len961", "len1922"]
+    ("index", "budget_s"), [(0, 1.0), (1, 1.0)], ids=["len961", "len1922"]
 )
 def test_extended_entry(index, budget_s):
     entry = load_manifest(extended_manifest_path())[index]

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import cycaut.group as group_module
 from cycaut.construct import shift
-from cycaut.group import PermGroup, filter_generators
+from cycaut.group import PermGroup, count_and_sift, filter_generators
 from cycaut.perm import Permutation, parse_cycles
 
 
@@ -141,6 +141,14 @@ class TestFilterGeneratorsSymmetricStop:
         assert kept == _reference_reduction(perms, n)
         assert filter_generators(perms) == kept
         assert PermGroup(kept, degree=n).order() == math.factorial(n)
+
+    @given(_lists_reaching_symmetric())
+    @settings(max_examples=60, deadline=None)
+    def test_count_and_sift_counts_every_item(self, case):
+        n, perms = case
+        count, kept = count_and_sift((p.images for p in perms), n)
+        assert count == len(perms)
+        assert kept == [p.images for p in _reference_reduction(perms, n)]
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_whole_symmetric_group_of_small_degree(self, degree):

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -674,3 +676,55 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert "(x^3+x+1)^1" in result.stdout
+
+
+class TestClosedOutputPipe:
+    """A reader that closes stdout early ends the run quietly: exit 0 and
+    nothing on stderr (no `error:` line, no "Exception ignored" at exit)."""
+
+    @staticmethod
+    def _env(unbuffered: bool) -> dict:
+        env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).parent.parent))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return env
+
+    def test_reader_closes_after_one_line(self):
+        # `cycaut verify-table | head -1`: each entry's line is written as
+        # it finishes, so the later lines meet a closed pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cycaut", "verify-table"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=self._env(unbuffered=True),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0, err
+        assert first.startswith(b"PASS len7-")
+        assert err == b""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_reader_closed_before_the_first_line(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "cycaut", "verify-table", "--filter", "len7"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=self._env(unbuffered),
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == b""
+
+    def test_other_os_errors_still_exit_2(self, capsys):
+        code = main(["verify-table", "/nonexistent/manifest.json"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -176,15 +176,15 @@ class TestBruteForce:
 
     def test_group_reduction_never_holds_every_automorphism(self, monkeypatch):
         offered = []
-        real = verify_module.filter_generators
+        real = verify_module.count_and_sift
 
-        def checking(perms, degree=None):
+        def checking(images, degree):
             # the reduction is handed a lazy stream, not a collected list
-            assert not isinstance(perms, (list, tuple))
+            assert not isinstance(images, (list, tuple))
             offered.append(degree)
-            return real(perms, degree)
+            return real(images, degree)
 
-        monkeypatch.setattr(verify_module, "filter_generators", checking)
+        monkeypatch.setattr(verify_module, "count_and_sift", checking)
         code = CyclicCode(7, parse_poly_product("(x^3+x+1)(x^3+x^2+1)"))
         count, gens = brute_force_group(code)
         assert count == 5040 and offered == [7]
@@ -192,10 +192,13 @@ class TestBruteForce:
 
     def test_closure_failure_raises_for_the_streamed_reduction(self, monkeypatch):
         # a reduction that drops generators makes the count and the order differ
-        real = verify_module.filter_generators
-        monkeypatch.setattr(
-            verify_module, "filter_generators", lambda perms, n: real(perms, n)[:1]
-        )
+        real = verify_module.count_and_sift
+
+        def dropping(images, degree):
+            count, kept = real(images, degree)
+            return count, kept[:1]
+
+        monkeypatch.setattr(verify_module, "count_and_sift", dropping)
         with pytest.raises(RuntimeError, match="168 elements generate order 2$"):
             brute_force_group(HAMMING)
 
@@ -205,21 +208,39 @@ class TestBruteForce:
 
     def test_closure_failure_raises(self, monkeypatch):
         # the check must survive python -O, so it is an exception, not an assert
-        monkeypatch.setattr(verify_module, "filter_generators", lambda perms, n: [shift(n)])
+        monkeypatch.setattr(
+            verify_module, "count_and_sift", lambda images, n: (168, [shift(n).images])
+        )
         with pytest.raises(RuntimeError, match="not a group"):
             brute_force_aut(HAMMING)
 
+    def test_every_permutation_is_counted_after_symmetric(self, monkeypatch):
+        # The [7,1] code admits all of S_7, and its kept generators reach
+        # S_7 at the 721st automorphism.  A kernel that rejects the last
+        # permutation, long after that, must still make the count 5039.
+        code = CyclicCode(7, parse_poly_product("(x^3+x+1)(x^3+x^2+1)"))
+        real = verify_module._automorphism_test
+        last = tuple(range(6, -1, -1))
+
+        def rejecting_last(n, g):
+            test = real(n, g)
+            return lambda images: images != last and test(images)
+
+        monkeypatch.setattr(verify_module, "_automorphism_test", rejecting_last)
+        with pytest.raises(RuntimeError, match="5039 elements generate order 5040$"):
+            brute_force_group(code)
+
     def test_one_reduction_per_code_per_run(self, monkeypatch):
         calls = []
-        real = verify_module.filter_generators
+        real = verify_module.count_and_sift
 
-        def counting(perms, degree=None):
+        def counting(images, degree):
             calls.append(degree)
-            return real(perms, degree)
+            return real(images, degree)
 
         # every module that may reduce, so a reduction outside verify counts too
-        monkeypatch.setattr(verify_module, "filter_generators", counting)
-        monkeypatch.setattr(manifest_module, "filter_generators", counting, raising=False)
+        monkeypatch.setattr(verify_module, "count_and_sift", counting)
+        monkeypatch.setattr(manifest_module, "count_and_sift", counting, raising=False)
         entries = {e["name"]: e for e in load_manifest(default_manifest_path())}
         cache = {}
         # the brute claim and the brute inner sources of the length-14 and
