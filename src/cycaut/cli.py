@@ -23,7 +23,6 @@ from .code import CyclicCode
 from .construct import multiplier_subgroup
 from .gf2poly import factor_xn_minus_1, parse_poly_product
 from .manifest import (
-    BRUTE_FORCE_MAX_N,
     default_manifest_path,
     expand_constructions,
     load_manifest,
@@ -46,13 +45,6 @@ def _parser() -> argparse.ArgumentParser:
         description="binary cyclic codes and their automorphism groups",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=0, help="default sampling seed")
-    parser.add_argument(
-        "--max-n",
-        type=int,
-        default=BRUTE_FORCE_MAX_N,
-        help="brute-force length cutoff",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("factor", help="factor x^n+1 into irreducibles")
@@ -70,8 +62,9 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aut-construct", help="build generators from a construction spec")
     p.add_argument("n", type=int)
     p.add_argument("generator")
-    p.add_argument("--spec", help="construction list as inline JSON")
-    p.add_argument("--spec-file", help="construction list from a JSON file")
+    spec = p.add_mutually_exclusive_group(required=True)
+    spec.add_argument("--spec", help="construction list as inline JSON")
+    spec.add_argument("--spec-file", help="construction list from a JSON file")
     p.add_argument("--expect", help="expected order (decimal); exit 1 on mismatch")
     p.add_argument("--emit-gens", action="store_true")
 
@@ -126,7 +119,7 @@ def _cmd_code_info(args) -> int:
 
 def _cmd_aut_brute(args) -> int:
     code = CyclicCode(args.n, parse_poly_product(args.generator))
-    count, reduced = brute_force_group(code, args.max_n)
+    count, reduced = brute_force_group(code)
     lines = [str(count)]
     payload = {"n": args.n, "generator": str(code.generator), "order": str(count)}
     if args.emit_gens:
@@ -138,16 +131,13 @@ def _cmd_aut_brute(args) -> int:
 
 
 def _cmd_aut_construct(args) -> int:
-    if bool(args.spec) == bool(args.spec_file):
-        print("exactly one of --spec/--spec-file is required", file=sys.stderr)
-        return 2
-    if args.spec:
-        specs = json.loads(args.spec)
+    if args.spec is not None:
+        where, specs = "--spec", json.loads(args.spec)
     else:
         with open(args.spec_file, encoding="utf-8") as fh:
-            specs = json.load(fh)
+            where, specs = "--spec-file", json.load(fh)
     code = CyclicCode(args.n, parse_poly_product(args.generator))
-    validate_constructions(specs, code.length, "--spec" if args.spec else "--spec-file")
+    validate_constructions(specs, code.length, where)
     expected = None if args.expect is None else parse_order(args.expect, "--expect")
     generators = expand_constructions(code, specs, cache={})
     report = verify_claim(code, generators, expected)
@@ -191,16 +181,16 @@ def _cmd_multipliers(args) -> int:
     return 0
 
 
-# Errors a single manifest entry can raise while it runs (a construction
-# that does not fit the code length, say).  They fail that entry only.
+# Errors a single manifest entry can raise while it runs (a brute-forced
+# set that is not closed, say).  They fail that entry only.
 _ENTRY_ERRORS = (ValueError, ZeroDivisionError, RuntimeError)
 
 
-def _entry_report(entry: dict, args, cache: dict) -> tuple[VerificationReport, str | None]:
+def _entry_report(entry: dict, cache: dict) -> tuple[VerificationReport, str | None]:
     """The report of one entry and, when the entry raised, the error text,
     which is then also the reason of its failing report."""
     try:
-        report = run_entry(entry, max_brute_n=args.max_n, default_seed=args.seed, cache=cache)
+        report = run_entry(entry, cache=cache)
     except _ENTRY_ERRORS as exc:
         error = f"entry {entry['name']!r}: {exc}"
         return unchecked_report(entry, error), error
@@ -212,13 +202,13 @@ def _cmd_verify_table(args) -> int:
     failing record, and the others still run.  Exit 2 when an entry
     raised, else 1 when a claim failed."""
     path = args.manifest or default_manifest_path()
-    entries = load_manifest(path, max_brute_n=args.max_n)
+    entries = load_manifest(path)
     if args.filter:
         entries = [e for e in entries if args.filter in e["name"]]
     cache: dict = {}
     failures = errors = 0
     for entry in entries:
-        report, error = _entry_report(entry, args, cache)
+        report, error = _entry_report(entry, cache)
         if error is not None:
             errors += 1
             print(f"error: {error}", file=sys.stderr)

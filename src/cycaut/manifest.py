@@ -11,17 +11,20 @@ Entry fields:
                   expected_order (arithmetic identity of the claim)
   method          "brute" | "construct" | "multiplier" | "containment"
   construction    list of construction records (construct/containment only)
-  sampling        optional {"trials": int, "seed": int}
+  sampling        optional {"trials": int, "seed": int}, both required
 
-Every method runs one pipeline, code -> generators -> `verify_claim`,
-and differs only in where the generators come from:
+Every method runs one pipeline, code -> generators -> `verify_claim`.
+A method is the inner source (SOURCE below) of its generators on the
+entry's own code:
 
-  brute           the reduced generating set of the brute-forced
-                  automorphisms (`brute_force_group`), which generates
-                  exactly as many elements as were found
-  multiplier      SHIFT_MULTIPLIERS: the shift and the preserving units
-  construct       the construction list; the order must equal the claim
-  containment     the construction list; the order must divide the claim
+  brute           source "brute": the reduced generating set of the
+                  brute-forced automorphisms (`brute_force_group`), which
+                  generates exactly as many elements as were found
+  multiplier      source "shift_multipliers": the shift and the
+                  preserving units
+  construct       source "construct" with the construction list as its
+                  specs; the order must equal the claim
+  containment     the same generators; the order must divide the claim
 
 `sampling` applies to every method: that many seeded random permutations
 outside the generated group must all fail the automorphism test.
@@ -48,19 +51,20 @@ SOURCE describes the generators of an inner group on a shorter code:
 
 `load_manifest` checks the whole record tree before anything runs: an
 unknown field, construction kind or inner source, a missing field, a
-construction list on a method that takes none, an expected_order that is
-not ASCII decimal, an integer field (n, k, rows, a, at, degree, trials,
-seed, the factor pairs) that is not a JSON integer or is out of range, or
-a brute-force length beyond its cutoff rejects the file, naming the entry
-and the field.  The cutoff is `max_brute_n` (the `--max-n` of a run) for
-a "brute" entry and BRUTE_FORCE_MAX_N for a "brute" inner source, as
-`run_entry` and `expand_source` apply them.  So does a value that does
-not fit the length of its record: a K or R that does not divide it, a
-block_rows K below 2, an odd length for pair_swap or interleaved_lift,
-an interleaved row other than 1 or 2, an "at" row outside 1..R, a
-multiplier that is not a unit, a cycle text that does not parse at its
-degree (R for row_permutation), an inner source of another degree than
-the one noted above, or a generator that does not divide x^n+1.
+construction list on a method that takes none, a name, method,
+generator, kind or source that is not a string, an expected_order that
+is not ASCII decimal, an integer field (n, k, rows, a, at, degree, trials, seed, the
+factor pairs) that is not a JSON integer or is out of range, or a
+brute-force length beyond BRUTE_FORCE_MAX_N (of an entry or an inner
+source alike) rejects the file, naming the entry and the field.  So does
+a value that does not fit the length of its record: a K or R that does
+not divide it, a block_rows K below 2, an odd length for pair_swap or
+interleaved_lift, an interleaved row other than 1 or 2, an "at" row
+outside 1..R, a multiplier that is not a unit, a cycle text that does
+not parse at its degree (R for row_permutation), an inner source of
+another degree than the one noted above, or a generator that does not
+divide x^n+1.  Expansion and `run_entry` rely on these checks and make
+none of their own.
 """
 
 from __future__ import annotations
@@ -86,9 +90,14 @@ from .gf2poly import parse_poly_product
 from .perm import Permutation, parse_cycles
 from .verify import BRUTE_FORCE_MAX_N, VerificationReport, brute_force_group, verify_claim
 
-METHODS = ("brute", "construct", "multiplier", "containment")
-# The generators of the shift-and-multiplier group: the `multiplier`
-# method and the `shift_multipliers` inner source.
+# Each method and the inner source of its generators on the entry's code.
+METHODS = {
+    "brute": "brute",
+    "construct": "construct",
+    "multiplier": "shift_multipliers",
+    "containment": "construct",
+}
+# The generators of the shift_multipliers source.
 SHIFT_MULTIPLIERS = [{"kind": "shift"}, {"kind": "multipliers"}]
 
 
@@ -100,14 +109,14 @@ def extended_manifest_path() -> str:
     return str(files("cycaut").joinpath("manifests/extended.json"))
 
 
-def load_manifest(path: str, max_brute_n: int = BRUTE_FORCE_MAX_N) -> list[dict]:
+def load_manifest(path: str) -> list[dict]:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError("manifest must be a JSON list of entries")
     names = set()
-    for entry in data:
-        _validate_entry(entry, max_brute_n)
+    for idx, entry in enumerate(data):
+        _validate_entry(entry, idx)
         if entry["name"] in names:
             raise ValueError(f"duplicate manifest entry name {entry['name']!r}")
         names.add(entry["name"])
@@ -120,7 +129,7 @@ _ENTRY_FIELDS = (
     "name", "n", "generator", "expected_order", "expected_order_factors",
     "method", "construction", "sampling",
 )
-_SAMPLING_FIELDS = (("trials",), ("seed",))
+_SAMPLING_FIELDS = (("trials", "seed"), ())
 _KINDS = {
     "shift": ((), ()),
     "pair_swap": ((), ()),
@@ -151,20 +160,22 @@ _INTEGERS = {
 _INTEGER_LISTS = {("interleaved_lift", "rows"), ("residue_lift", "at")}
 
 
-def _validate_entry(entry: dict, max_brute_n: int) -> None:
+def _validate_entry(entry: dict, idx: int) -> None:
     if not isinstance(entry, dict):
         raise ValueError(f"manifest entry must be an object: {entry!r}")
     for key in ("name", "n", "generator", "expected_order", "method"):
         if key not in entry:
             raise ValueError(f"manifest entry missing field {key!r}")
+    _check_string(entry, "name", f"manifest entry [{idx}]")
     where = f"entry {entry['name']!r}"
     method = entry["method"]
     _check_fields(entry, where, (), _ENTRY_FIELDS)
+    _check_string(entry, "method", where)
     if method not in METHODS:
         raise ValueError(f"{where}: unknown method {method!r}")
     _check_integers(entry, where)
     if method == "brute":
-        _check_brute_length(entry["n"], max_brute_n, where)
+        _check_brute_length(entry["n"], where)
     parse_order(entry["expected_order"], f"{where}: expected_order")
     factors = entry.get("expected_order_factors", [])
     if not isinstance(factors, list):
@@ -212,6 +223,7 @@ def _check_record(record, where: str, tag: str, schema: dict, degree: int) -> No
     that must have that degree."""
     if not isinstance(record, dict):
         raise ValueError(f"{where} must be an object")
+    _check_string(record, tag, where)
     kind = record.get(tag)
     if kind not in schema:
         raise ValueError(f"{where}: unknown {tag} {kind!r}")
@@ -266,7 +278,7 @@ def _check_source(source: dict, where: str, degree: int) -> None:
     degree, or with a generator that does not divide x^n+1."""
     kind = source["source"]
     if kind == "brute":
-        _check_brute_length(source["n"], BRUTE_FORCE_MAX_N, where)
+        _check_brute_length(source["n"], where)
     key = "degree" if kind == "perms" else "n"
     if source[key] != degree:
         raise ValueError(f"{where}: field {key!r} = {source[key]} is not the inner degree {degree}")
@@ -290,6 +302,7 @@ def _check_cycles(record: dict, key: str, where: str, degree: int) -> None:
 
 
 def _check_code(record: dict, where: str) -> None:
+    _check_string(record, "generator", where)
     try:
         _code_for(record["n"], record["generator"])
     except ValueError as exc:
@@ -305,6 +318,11 @@ def _check_fields(record, where: str, required, optional) -> None:
     for key in record:
         if key not in required and key not in optional:
             raise ValueError(f"{where}: unknown field {key!r}")
+
+
+def _check_string(record: dict, key: str, where: str) -> None:
+    if key in record and not isinstance(record[key], str):
+        raise ValueError(f"{where}: field {key!r} must be a string: {record[key]!r}")
 
 
 def _check_integers(record: dict, where: str, kind: str | None = None) -> None:
@@ -329,99 +347,84 @@ def _check_integer(value, where: str, least: int | None) -> None:
         raise ValueError(f"{where} must be at least {least}: {value}")
 
 
-def _check_brute_length(n: int, cutoff: int, where: str) -> None:
-    if n > cutoff:
+def _check_brute_length(n: int, where: str) -> None:
+    if n > BRUTE_FORCE_MAX_N:
         raise ValueError(
-            f"{where}: field 'n' = {n} exceeds the brute-force cutoff {cutoff}"
+            f"{where}: field 'n' = {n} exceeds the brute-force cutoff {BRUTE_FORCE_MAX_N}"
         )
 
 
 def _code_for(n: int, generator_text: str) -> CyclicCode:
-    return CyclicCode(int(n), parse_poly_product(generator_text))
+    return CyclicCode(n, parse_poly_product(generator_text))
 
 
 def expand_source(source: dict, cache: dict | None = None) -> list[Permutation]:
     """Generators of an inner group, per the SOURCE records above."""
-    kind = source.get("source")
+    kind = source["source"]
     if kind == "perms":
-        degree = int(source["degree"])
-        return [parse_cycles(text, degree) for text in source["cycles"]]
-    if kind == "brute":
-        code = _code_for(source["n"], source["generator"])
-        return list(_cached_brute(code, BRUTE_FORCE_MAX_N, cache)[1])
-    if kind in ("shift_multipliers", "construct"):
-        code = _code_for(source["n"], source["generator"])
-        specs = SHIFT_MULTIPLIERS if kind == "shift_multipliers" else source["specs"]
-        return [p for _, p in expand_constructions(code, specs, cache)]
-    raise ValueError(f"unknown inner source {kind!r}")
+        return [parse_cycles(text, source["degree"]) for text in source["cycles"]]
+    code = _code_for(source["n"], source["generator"])
+    return [p for _, p in _generators(kind, code, source.get("specs"), cache)]
 
 
-def _cached_brute(
-    code: CyclicCode, max_n: int, cache: dict | None
-) -> tuple[int, list[Permutation]]:
-    """`brute_force_group` of the code, once per run cache."""
-    if cache is None:
-        return brute_force_group(code, max_n)
+def _generators(
+    kind: str, code: CyclicCode, specs: list[dict] | None, cache: dict | None
+) -> list[tuple[str, Permutation]]:
+    """The labelled generators of a source on the code: the brute-force
+    reduction, made once per run cache, or the expansion of the specs
+    (SHIFT_MULTIPLIERS for "shift_multipliers")."""
+    if kind != "brute":
+        specs = SHIFT_MULTIPLIERS if kind == "shift_multipliers" else specs
+        return expand_constructions(code, specs, cache)
     key = ("brute", code.length, code.generator.bits)
+    if cache is None:
+        cache = {}
     if key not in cache:
-        cache[key] = brute_force_group(code, max_n)
-    return cache[key]
+        cache[key] = brute_force_group(code)
+    return [(f"brute.{j}", p) for j, p in enumerate(cache[key][1])]
 
 
 def expand_constructions(
     code: CyclicCode, specs: list[dict], cache: dict | None = None
 ) -> list[tuple[str, Permutation]]:
     """Instantiate construction records against a code, returning labeled
-    permutations of the code's degree."""
+    permutations of the code's degree.
+
+    The records must be ones `validate_constructions` accepted for the
+    code's length: nothing is checked here again.  `load_manifest` and
+    `aut-construct` validate before they expand, and the recursion into
+    inner sources expands parts of a record tree already checked."""
     n = code.length
     out: list[tuple[str, Permutation]] = []
     for idx, spec in enumerate(specs):
-        kind = spec.get("kind")
+        kind = spec["kind"]
         tag = f"{kind}[{idx}]"
+        inner = expand_source(spec["inner"], cache) if "inner" in spec else []
         if kind == "shift":
             out.append((tag, shift(n)))
         elif kind == "pair_swap":
-            if n % 2:
-                raise ValueError("pair_swap needs an even length")
             out.append((tag, pair_swap(n // 2)))
         elif kind == "block_rows":
-            k = int(spec["k"])
-            if n % k:
-                raise ValueError(f"block_rows: {k} does not divide {n}")
+            k = spec["k"]
             for j, p in enumerate(block_row_generators(k, n // k)):
                 out.append((f"{tag}.{j}", p))
         elif kind == "lifted_column":
-            k = int(spec["k"])
-            if n % k:
-                raise ValueError(f"lifted_column: {k} does not divide {n}")
-            for j, tau in enumerate(_inner(spec, n // k, cache)):
-                out.append((f"{tag}.{j}", lifted_column_perm(tau, k)))
+            for j, tau in enumerate(inner):
+                out.append((f"{tag}.{j}", lifted_column_perm(tau, spec["k"])))
         elif kind == "interleaved_lift":
-            if n % 2:
-                raise ValueError("interleaved_lift needs an even length")
-            rows = spec.get("rows", [1, 2])
-            inner = _inner(spec, n // 2, cache)
-            for row in rows:
+            for row in spec.get("rows", [1, 2]):
                 for j, sigma in enumerate(inner):
                     out.append((f"{tag}.r{row}.{j}", interleaved_lift(sigma, row)))
         elif kind == "residue_lift":
-            rows = int(spec["rows"])
-            if n % rows:
-                raise ValueError(f"residue_lift: {rows} does not divide {n}")
-            at = spec.get("at", [1])
-            inner = _inner(spec, n // rows, cache)
-            for a in at:
+            for a in spec.get("at", [1]):
                 for j, alpha in enumerate(inner):
-                    out.append((f"{tag}.a{a}.{j}", residue_lift(alpha, a, rows)))
+                    out.append((f"{tag}.a{a}.{j}", residue_lift(alpha, a, spec["rows"])))
         elif kind == "row_permutation":
-            rows = int(spec["rows"])
-            if n % rows:
-                raise ValueError(f"row_permutation: {rows} does not divide {n}")
+            rows = spec["rows"]
             for j, text in enumerate(spec["perms"]):
-                beta = parse_cycles(text, rows)
-                out.append((f"{tag}.{j}", row_permutation(beta, n // rows)))
+                out.append((f"{tag}.{j}", row_permutation(parse_cycles(text, rows), n // rows)))
         elif kind == "multiplier":
-            out.append((tag, multiplier(int(spec["a"]), n)))
+            out.append((tag, multiplier(spec["a"], n)))
         elif kind == "multipliers":
             for a in multiplier_subgroup(code):
                 if a != 1:
@@ -429,56 +432,30 @@ def expand_constructions(
         elif kind == "perms":
             for j, text in enumerate(spec["cycles"]):
                 out.append((f"{tag}.{j}", parse_cycles(text, n)))
-        else:
-            raise ValueError(f"unknown construction kind {kind!r}")
     return out
 
 
-def _inner(spec: dict, degree: int, cache: dict | None) -> list[Permutation]:
-    """The generators of a record's inner source, which must have the
-    given degree."""
-    inner = expand_source(spec["inner"], cache)
-    for p in inner:
-        if p.degree != degree:
-            raise ValueError(f"{spec['kind']}: inner degree {p.degree}, expected {degree}")
-    return inner
-
-
-def run_entry(
-    entry: dict,
-    *,
-    max_brute_n: int = BRUTE_FORCE_MAX_N,
-    default_seed: int = 0,
-    cache: dict | None = None,
-) -> VerificationReport:
+def run_entry(entry: dict, *, cache: dict | None = None) -> VerificationReport:
     """Verify one manifest entry and return its report.  The method picks
-    only the generators; `verify_claim` checks them all the same way."""
+    only the source of the generators; `verify_claim` checks them all the
+    same way."""
     name = entry["name"]
     method = entry["method"]
     expected = int(entry["expected_order"])
     factors = entry.get("expected_order_factors")
     if factors is not None:
-        claimed = math.prod(int(b) ** int(e) for b, e in factors)
+        claimed = math.prod(b**e for b, e in factors)
         if claimed != expected:
             return unchecked_report(
                 entry, f"expected_order {expected} does not equal the factored form {claimed}"
             )
     code = _code_for(entry["n"], entry["generator"])
-
     sampling = None
-    if entry.get("sampling"):
-        sampling = (
-            int(entry["sampling"]["trials"]),
-            int(entry["sampling"].get("seed", default_seed)),
-        )
+    if "sampling" in entry:
+        sampling = (entry["sampling"]["trials"], entry["sampling"]["seed"])
 
     t0 = perf_counter()
-    if method == "brute":
-        reduced = _cached_brute(code, max_brute_n, cache)[1]
-        generators = [(f"brute.{j}", p) for j, p in enumerate(reduced)]
-    else:
-        specs = SHIFT_MULTIPLIERS if method == "multiplier" else entry["construction"]
-        generators = expand_constructions(code, specs, cache)
+    generators = _generators(METHODS[method], code, entry.get("construction"), cache)
     expansion_ms = (perf_counter() - t0) * 1000.0
     report = verify_claim(
         code, generators, expected, name=name, method=method, sampling=sampling

@@ -49,6 +49,8 @@ from .gf2poly import _divmod_bits
 from .group import PermGroup, chain_order, count_and_sift, exact_order
 from .perm import Permutation
 
+# The longest code that brute force enumerates S_n for, wherever it is
+# asked to: `aut-brute`, a "brute" manifest entry or inner source.
 BRUTE_FORCE_MAX_N = 10
 
 
@@ -126,26 +128,26 @@ def _automorphism_test(n: int, g: int):
     return maps_into
 
 
-def brute_force_aut(code: CyclicCode, max_n: int = BRUTE_FORCE_MAX_N) -> list[Permutation]:
+def brute_force_aut(code: CyclicCode) -> list[Permutation]:
     """All automorphisms of the code, by exhausting S_n in lexicographic
-    one-line order.  Guarded by max_n; the count grows as n!.  Raises
-    RuntimeError unless they form a group (see `brute_force_group`)."""
-    images = list(_automorphism_images(code, max_n))
+    one-line order.  The count grows as n!, so a length beyond
+    BRUTE_FORCE_MAX_N raises ValueError.  Raises RuntimeError unless they
+    form a group (see `brute_force_group`)."""
+    images = list(_automorphism_images(code))
     _closed_reduction(images, code.length)
     return list(map(Permutation._trusted, images))
 
 
-def brute_force_group(
-    code: CyclicCode, max_n: int = BRUTE_FORCE_MAX_N
-) -> tuple[int, list[Permutation]]:
+def brute_force_group(code: CyclicCode) -> tuple[int, list[Permutation]]:
     """The number of automorphisms of the code and their
     `filter_generators` reduction, made while they are enumerated (in the
     order of `brute_force_aut`), so they are never all held at once.
-    Raises RuntimeError unless the reduction generates a group of exactly
-    as many elements as were found, i.e. the enumerated set is closed.
+    A length beyond BRUTE_FORCE_MAX_N raises ValueError.  Raises
+    RuntimeError unless the reduction generates a group of exactly as
+    many elements as were found, i.e. the enumerated set is closed.
     Every permutation of S_n is tested and every automorphism counted;
     the reduction is `count_and_sift` (see the module docstring)."""
-    return _closed_reduction(_automorphism_images(code, max_n), code.length)
+    return _closed_reduction(_automorphism_images(code), code.length)
 
 
 def _closed_reduction(images, n: int) -> tuple[int, list[Permutation]]:
@@ -162,13 +164,13 @@ def _closed_reduction(images, n: int) -> tuple[int, list[Permutation]]:
     return count, gens
 
 
-def _automorphism_images(code: CyclicCode, max_n: int):
+def _automorphism_images(code: CyclicCode):
     """Iterate lazily over the image tuples of every automorphism of the
     code, in lexicographic order over S_n."""
     n = code.length
-    if n > max_n:
+    if n > BRUTE_FORCE_MAX_N:
         raise ValueError(
-            f"length {n} exceeds brute-force cutoff {max_n}; "
+            f"length {n} exceeds brute-force cutoff {BRUTE_FORCE_MAX_N}; "
             "use a constructive verification instead"
         )
     return filter(_automorphism_test(n, code.generator.bits), itertools.permutations(range(n)))

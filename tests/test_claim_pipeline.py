@@ -153,8 +153,8 @@ class TestLoadTimeRejection:
             ("n", "４９", r"entry 'e': field 'n' must be an integer"),
             ("n", True, r"entry 'e': field 'n' must be an integer: True"),
             ("n", 0, r"entry 'e': field 'n' must be at least 1: 0"),
-            ("sampling", {"trials": True}, r"sampling: field 'trials' must be an integer"),
-            ("sampling", {"trials": -5}, r"sampling: field 'trials' must be at least 1"),
+            ("sampling", {"trials": True, "seed": 0}, r"sampling: field 'trials' must be an integer"),
+            ("sampling", {"trials": -5, "seed": 0}, r"sampling: field 'trials' must be at least 1"),
             ("sampling", {"trials": 3, "seed": 1.0}, r"sampling: field 'seed' must be an integer"),
             ("expected_order_factors", [["2"]],
              r"field 'expected_order_factors'\[0\] must be a \[base, exponent\] pair"),
@@ -169,6 +169,47 @@ class TestLoadTimeRejection:
     def test_entry_fields(self, tmp_path, field, value, message):
         with pytest.raises(ValueError, match=message):
             self._load(tmp_path, dict(self.BASE, **{field: value}))
+
+    # (field, edit of BASE, message): a value of the wrong JSON type used
+    # to reach the loader's lookups and crash with a TypeError or an
+    # AttributeError instead of this ValueError.
+    WRONG_TYPES = {
+        "name-list": (lambda e: e.update(name=["e"]),
+                      r"^manifest entry \[0\]: field 'name' must be a string: \['e'\]$"),
+        "name-integer": (lambda e: e.update(name=5),
+                         r"^manifest entry \[0\]: field 'name' must be a string: 5$"),
+        "method-object": (lambda e: e.update(method={"brute": 1}),
+                          r"^entry 'e': field 'method' must be a string"),
+        "generator-integer": (lambda e: e.update(generator=11),
+                              r"^entry 'e': field 'generator' must be a string: 11$"),
+        "kind-list": (lambda e: e["construction"][1].update(kind=["row_permutation"]),
+                      r"^entry 'e': construction\[1\]: field 'kind' must be a string"),
+        "source-list": (lambda e: e["construction"][0]["inner"].update(source=["brute"]),
+                        r"^entry 'e': construction\[0\]\.inner: field 'source' must be a string"),
+        "inner-generator-integer": (
+            lambda e: e["construction"][0]["inner"].update(generator=11),
+            r"^entry 'e': construction\[0\]\.inner \(source 'brute'\): "
+            r"field 'generator' must be a string: 11$",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+    def test_wrong_type(self, tmp_path, case):
+        edit, message = self.WRONG_TYPES[case]
+        entry = json.loads(json.dumps(self.BASE))
+        edit(entry)
+        with pytest.raises(ValueError, match=message):
+            self._load(tmp_path, entry)
+
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+    def test_wrong_type_makes_verify_table_exit_2(self, tmp_path, capsys, case):
+        entry = json.loads(json.dumps(self.BASE))
+        self.WRONG_TYPES[case][0](entry)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([entry]))
+        code, out, err = run_cli(capsys, "--json", "verify-table", str(path))
+        assert (code, out) == (2, "")
+        assert "must be a string" in err
 
     @pytest.mark.parametrize(
         ("index", "field", "value", "message"),
@@ -228,6 +269,20 @@ class TestLoadTimeRejection:
         assert code == 2 and out == ""
         assert "--spec[0] (kind 'block_rows'): field 'k' must be an integer: 2.0" in err
 
+    @pytest.mark.parametrize(
+        ("record", "message"),
+        [
+            ({"kind": ["shift"]}, "--spec[0]: field 'kind' must be a string: ['shift']"),
+            ({"kind": "lifted_column", "k": 1, "inner": {"source": ["perms"]}},
+             "--spec[0].inner: field 'source' must be a string: ['perms']"),
+        ],
+        ids=["kind", "source"],
+    )
+    def test_aut_construct_spec_types(self, capsys, record, message):
+        spec = json.dumps([record])
+        code, out, err = run_cli(capsys, "aut-construct", "7", "x^3+x+1", "--spec", spec)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestAutConstructExpect:
     SPEC = json.dumps([{"kind": "shift"}, {"kind": "multipliers"}])
@@ -278,3 +333,13 @@ def test_script_runs(argv, line):
     )
     assert result.returncode == 0, result.stderr
     assert line in result.stdout.splitlines()
+
+
+def test_survey_max_n_stays_within_the_cutoff():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "scripts/survey_small_codes.py", "--max-n", "11"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "--max-n 11 exceeds the brute-force cutoff 10" in result.stderr

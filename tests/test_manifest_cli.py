@@ -155,8 +155,24 @@ class TestAutConstructCommand:
         assert "56448" in err
 
     def test_requires_spec(self, capsys):
-        code, _, _ = run_cli(capsys, "aut-construct", "14", "(x^3+x+1)^2")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["aut-construct", "14", "(x^3+x+1)^2"])
+        assert exc.value.code == 2
+        assert "one of the arguments --spec --spec-file is required" in capsys.readouterr().err
+
+    def test_spec_and_spec_file_together_are_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(self.SPEC)
+        with pytest.raises(SystemExit) as exc:
+            main(["aut-construct", "14", "(x^3+x+1)^2",
+                  "--spec", self.SPEC, "--spec-file", str(path)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_empty_spec_is_read_not_missing(self, capsys):
+        code, out, err = run_cli(capsys, "aut-construct", "14", "(x^3+x+1)^2", "--spec", "")
+        assert code == 2 and out == ""
+        assert err.startswith("error: Expecting value")
 
     def test_spec_typo_rejected(self, capsys):
         spec = self.SPEC.replace('"rows"', '"row"')
@@ -251,6 +267,14 @@ class TestVerifyTable:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("usage: cycaut")
 
+    @pytest.mark.parametrize("flag", ["--seed", "--max-n"])
+    def test_no_run_level_override_of_the_manifest(self, capsys, flag):
+        # the seed is the manifest's and the cutoff BRUTE_FORCE_MAX_N
+        with pytest.raises(SystemExit) as exc:
+            main([flag, "6", "verify-table"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: cycaut")
+
     def test_json_output_deterministic(self, capsys):
         code1, out1, _ = run_cli(capsys, "--json", "verify-table", "--filter", "len7")
         code2, out2, _ = run_cli(capsys, "--json", "verify-table", "--filter", "len7")
@@ -274,21 +298,24 @@ class TestEntryIsolation:
     """A run-time error in one entry fails that entry only: every other
     entry still runs and prints its usual record, and the run exits 2.
 
-    BAD does not fit its length, which `load_manifest` rejects; the
-    construction checks of the loader are switched off here so that BAD
-    reaches `expand_constructions` and raises there."""
+    BAD loads, but its one construction, block_rows, is patched here to
+    raise, as a fault inside a construction would; the good entries use
+    no block_rows."""
 
     GOOD_A = {"name": "good-a", "n": 7, "generator": "x^3+x+1",
               "expected_order": "168", "method": "brute"}
     BAD = {"name": "bad-rows", "n": 49, "generator": "x^3+x+1",
            "expected_order": "1", "method": "construct",
-           "construction": [{"kind": "block_rows", "k": 5}]}
+           "construction": [{"kind": "block_rows", "k": 7}]}
     GOOD_B = {"name": "good-b", "n": 31, "generator": "(x^5+x^2+1)(x^5+x^3+1)",
               "expected_order": "310", "method": "multiplier"}
 
     @pytest.fixture(autouse=True)
-    def _load_without_construction_checks(self, monkeypatch):
-        monkeypatch.setattr(manifest_module, "validate_constructions", lambda *args: None)
+    def _faulty_block_rows(self, monkeypatch):
+        def fault(k, cols):
+            raise ValueError(f"block_rows fault at {k}x{cols}")
+
+        monkeypatch.setattr(manifest_module, "block_row_generators", fault)
 
     @staticmethod
     def _records(text):
@@ -305,7 +332,7 @@ class TestEntryIsolation:
     def test_bad_entry_between_two_good_ones(self, tmp_path, capsys):
         code, out, err = self._run(tmp_path, capsys, [self.GOOD_A, self.BAD, self.GOOD_B])
         assert code == 2
-        assert err.strip() == "error: entry 'bad-rows': block_rows: 5 does not divide 49"
+        assert err.strip() == "error: entry 'bad-rows': block_rows fault at 7x7"
         good_code, good_out, _ = self._run(tmp_path, capsys, [self.GOOD_A, self.GOOD_B])
         assert good_code == 0
         good = self._records(good_out)
@@ -324,7 +351,7 @@ class TestEntryIsolation:
         assert code == 2
         lines = out.splitlines()
         assert lines[1].startswith("FAIL bad-rows:")
-        assert lines[1].endswith("-- entry 'bad-rows': block_rows: 5 does not divide 49")
+        assert lines[1].endswith("-- entry 'bad-rows': block_rows fault at 7x7")
         assert lines[0].startswith("PASS good-a") and lines[2].startswith("PASS good-b")
         assert lines[-1] == "2/3 entries passed"
 
@@ -452,7 +479,7 @@ class TestManifestSchema:
             self._load_one(tmp_path, change=entry_typo)
 
         def sampling_typo(e):
-            e["sampling"] = {"trials": 10, "sed": 3}
+            e["sampling"] = {"trials": 10, "seed": 3, "sed": 3}
 
         with pytest.raises(ValueError, match="entry 'typo': sampling: unknown field 'sed'"):
             self._load_one(tmp_path, change=sampling_typo)
@@ -463,8 +490,9 @@ class TestManifestSchema:
 
 
 class TestBruteForceCutoffAtLoad:
-    """A brute-force length beyond the cutoff the run would apply rejects
-    the manifest when it is loaded, before anything runs."""
+    """A brute-force length beyond BRUTE_FORCE_MAX_N, of an entry or of an
+    inner source alike, rejects the manifest when it is loaded, before
+    anything runs."""
 
     LONG = {"name": "long", "n": 14, "generator": "(x^3+x+1)^2",
             "expected_order": "56448", "method": "brute"}
@@ -488,23 +516,12 @@ class TestBruteForceCutoffAtLoad:
         with pytest.raises(ValueError, match=r"entry 'long': field 'n' = 14 exceeds the brute-force cutoff 10"):
             load_manifest(path)
 
-    def test_a_raised_max_n_lets_it_load(self, tmp_path):
-        path = self._write(tmp_path, [self.LONG])
-        assert [e["name"] for e in load_manifest(path, max_brute_n=14)] == ["long"]
-
-    def test_a_lowered_max_n_rejects_the_default_manifest(self):
-        with pytest.raises(ValueError, match=r"entry 'len7-cubic': field 'n' = 7 exceeds the brute-force cutoff 6"):
-            load_manifest(default_manifest_path(), max_brute_n=6)
-
     def test_rejects_a_long_inner_brute_source(self, tmp_path):
         source = {"source": "brute", "n": 14, "generator": "(x^3+x+1)^2"}
         path = self._write(tmp_path, [self._with_inner(source)])
         where = r"entry 'inner': construction\[0\]\.inner \(source 'brute'\)"
         with pytest.raises(ValueError, match=where + r": field 'n' = 14 exceeds the brute-force cutoff 10"):
             load_manifest(path)
-        # the inner cutoff is the library's, whatever --max-n says
-        with pytest.raises(ValueError, match=where):
-            load_manifest(path, max_brute_n=20)
 
     def test_rejects_a_long_brute_source_nested_deeper(self, tmp_path):
         source = {
@@ -645,13 +662,13 @@ class TestParserReuse:
         code, out, _ = run_cli(capsys, "factor", "7")
         assert code == 0 and out.splitlines()[0] == "(x+1)^1"
 
-        code, _, err = run_cli(capsys, "--max-n", "6", "aut-brute", "7", "x^3+x+1")
-        assert code == 2 and "cutoff 6" in err
+        code, out, _ = run_cli(capsys, "--json", "aut-brute", "7", "x^3+x+1")
+        assert code == 0 and json.loads(out)["order"] == "168"
         code, out, _ = run_cli(capsys, "aut-brute", "7", "x^3+x+1")
         assert code == 0 and out == "168\n"
 
-        code, _, err = run_cli(capsys, "--max-n", "6", "verify-table", "--filter", "len7")
-        assert code == 2 and "cutoff 6" in err
+        code, out, _ = run_cli(capsys, "--json", "verify-table", "--filter", "len7")
+        assert code == 0 and [json.loads(line)["pass"] for line in out.splitlines()] == [True, True]
         code, out, _ = run_cli(capsys, "verify-table", "--filter", "len7")
         assert code == 0 and "2/2 entries passed" in out
 
