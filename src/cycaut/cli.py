@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from .code import CyclicCode
+from .code import MAX_ENUMERATION_DIM, CyclicCode
 from .construct import multiplier_subgroup
 from .gf2poly import factor_xn_minus_1, parse_poly_product
 from .manifest import (
@@ -109,7 +109,7 @@ def _cmd_code_info(args) -> int:
         lines.append("rows:")
         lines.extend(f"  {r}" for r in rows)
         payload["rows"] = rows
-    if code.dimension <= 20:
+    if code.dimension <= MAX_ENUMERATION_DIM:
         dist = code.weight_distribution()
         lines.append("weights: " + " ".join(f"{w}:{c}" for w, c in dist.items()))
         payload["weights"] = {str(w): c for w, c in dist.items()}
@@ -205,6 +205,8 @@ def _cmd_verify_table(args) -> int:
     entries = load_manifest(path)
     if args.filter:
         entries = [e for e in entries if args.filter in e["name"]]
+        if not entries:
+            raise ValueError(f"--filter {args.filter!r} matches no entry")
     cache: dict = {}
     failures = errors = 0
     for entry in entries:

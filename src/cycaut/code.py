@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .gf2poly import Gf2Poly, _divmod_bits, _mod_bits
 from .perm import Permutation
 
-DEFAULT_MAX_DIM = 20
+MAX_ENUMERATION_DIM = 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,12 +103,12 @@ class CyclicCode:
         g = self.generator.bits
         return [Codeword(self.length, g << i) for i in range(self.dimension)]
 
-    def codewords(self, max_dim: int = DEFAULT_MAX_DIM):
+    def codewords(self):
         """Yield all 2^k codewords exactly once (Gray-code order)."""
         k = self.dimension
-        if k > max_dim:
+        if k > MAX_ENUMERATION_DIM:
             raise ValueError(
-                f"dimension {k} exceeds max_dim {max_dim}; enumeration refused"
+                f"dimension {k} exceeds the enumeration limit {MAX_ENUMERATION_DIM}"
             )
         rows = [r.bits for r in self.generator_rows()]
         w = 0
@@ -117,8 +117,8 @@ class CyclicCode:
             w ^= rows[(m & -m).bit_length() - 1]
             yield Codeword(self.length, w)
 
-    def weight_distribution(self, max_dim: int = DEFAULT_MAX_DIM) -> dict[int, int]:
-        return dict(sorted(Counter(w.weight() for w in self.codewords(max_dim)).items()))
+    def weight_distribution(self) -> dict[int, int]:
+        return dict(sorted(Counter(w.weight() for w in self.codewords()).items()))
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,6 +19,10 @@ permutations of the flat coordinates:
 * multipliers     - coordinate maps i -> a*i on residues mod n for units
                     a; the unit 2 (squaring) preserves every binary
                     cyclic code.
+
+Block rows are the residue layout transposed (coordinate j + i*cols is
+column j of block row i and column i of residue row j), so the two
+primitives `residue_lift` and `row_permutation` build both layouts.
 """
 
 from __future__ import annotations
@@ -37,42 +41,27 @@ def shift(n: int) -> Permutation:
     return Permutation(tuple((i + 1) % n for i in range(n)))
 
 
-def block_row_generators(k: int, n: int) -> list[Permutation]:
-    """Per-column row k-cycle and row transposition in the k x n
-    row-major layout: for column i the cycle (i, n+i, ..., (k-1)n+i) and
-    the transposition (i, n+i).  Together they generate (S_k)^n.  For
+def block_row_generators(k: int, m: int) -> list[Permutation]:
+    """Per-column row k-cycle and row transposition in the k x m
+    row-major layout: for column i the cycle (i, m+i, ..., (k-1)m+i) and
+    the transposition (i, m+i).  Together they generate (S_k)^m.  For
     k = 2 the cycle equals the transposition and duplicates are dropped.
+    They are the residue lifts of both at each of the m residue rows.
     """
     if k < 2:
         raise ValueError("need at least two rows")
-    if n < 1:
+    if m < 1:
         raise ValueError("need at least one column")
-    degree = k * n
-    gens = []
-    for c in range(n):
-        points = [c + r * n for r in range(k)]
-        images = list(range(degree))
-        for a, b in zip(points, points[1:]):
-            images[a] = b
-        images[points[-1]] = points[0]
-        gens.append(Permutation(tuple(images)))
-        if k > 2:
-            images = list(range(degree))
-            images[points[0]], images[points[1]] = points[1], points[0]
-            gens.append(Permutation(tuple(images)))
-    return gens
+    moves = [shift(k)] if k == 2 else [shift(k), Permutation((1, 0, *range(2, k)))]
+    return [residue_lift(alpha, row, m) for row in range(1, m + 1) for alpha in moves]
 
 
 def lifted_column_perm(tau: Permutation, k: int) -> Permutation:
     """Apply tau to the columns of every row-major block: coordinate
-    j + i*n maps to tau(j) + i*n for 0 <= i < k."""
+    j + i*n maps to tau(j) + i*n for 0 <= i < k: `row_permutation(tau, k)`."""
     if k < 1:
         raise ValueError("need at least one block")
-    n = tau.degree
-    images = []
-    for i in range(k):
-        images.extend(t + i * n for t in tau.images)
-    return Permutation(tuple(images))
+    return row_permutation(tau, k)
 
 
 def residue_lift(alpha: Permutation, at_row: int, rows: int) -> Permutation:

@@ -9,13 +9,19 @@ against real degrees always behave.
 The text grammar is a sum of terms over {"1", "x", "x^K"} joined by "+"
 ("0" alone denotes the zero polynomial).  The parser accepts terms in any
 order; the formatter emits descending exponents, e.g. "x^3+x+1".
+
+`factor_xn_minus_1` splits a product g of distinct degree-d irreducibles
+by gcd(g, Tr(x^e)), Tr(h) = h + h^2 + ... + h^(2^(d-1)) mod g, at the
+first e = 1, 2, ..., deg g - 1 that splits it.  One does: with 1 the x^e
+span F_2[x]/(g), Tr(1) = d mod 2 mod every factor alike, and for factors
+f1 != f2 the CRT element that is 0 mod f2 and has trace 1 mod f1
+separates their traces, so by linearity some x^e does too.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from random import Random
 
 NEG_INF = float("-inf")
 
@@ -195,29 +201,20 @@ def _trace_mod(h: int, d: int, g: int) -> int:
     return acc
 
 
-def _equal_degree_split(g: int, d: int, rng: Random) -> list[int]:
-    """Split g, a product of distinct irreducibles of degree d, into them.
-
-    Sweeps trace arguments x, x^2, x^3, ... deterministically; the seeded
-    random fallback is unreachable in practice but keeps the routine total.
-    """
+def _equal_degree_split(g: int, d: int) -> list[int]:
+    """Split g, a product of distinct irreducibles of degree d, into them
+    by the trace sweep of the module docstring."""
     gdeg = g.bit_length() - 1
     if gdeg == d:
         return [g]
-    for e in range(1, 4 * gdeg + 2):
+    for e in range(1, gdeg):
         h = _powmod_bits(2, e, g)
         u = gcd(Gf2Poly(_trace_mod(h, d, g)), Gf2Poly(g)).bits
         udeg = u.bit_length() - 1
         if 0 < udeg < gdeg:
             v = _divmod_bits(g, u)[0]
-            return _equal_degree_split(u, d, rng) + _equal_degree_split(v, d, rng)
-    while True:  # pragma: no cover - deterministic sweep always succeeds
-        h = rng.getrandbits(gdeg)
-        u = gcd(Gf2Poly(_trace_mod(h, d, g)), Gf2Poly(g)).bits
-        udeg = u.bit_length() - 1
-        if 0 < udeg < gdeg:
-            v = _divmod_bits(g, u)[0]
-            return _equal_degree_split(u, d, rng) + _equal_degree_split(v, d, rng)
+            return _equal_degree_split(u, d) + _equal_degree_split(v, d)
+    raise RuntimeError(f"no trace x^e, e < {gdeg}, splits a product of degree-{d} irreducibles")
 
 
 def factor_xn_minus_1(n: int) -> list[tuple[Gf2Poly, int]]:
@@ -234,7 +231,6 @@ def factor_xn_minus_1(n: int) -> list[tuple[Gf2Poly, int]]:
     m = n // mult
     remaining = (1 << m) | 1
     degrees = sorted({len(c) for c in _cyclotomic_cosets(m)})
-    rng = Random(0)
     factors: list[int] = []
     for d in degrees:
         if remaining == 1:
@@ -244,7 +240,7 @@ def factor_xn_minus_1(n: int) -> list[tuple[Gf2Poly, int]]:
         if gd == 1:
             continue
         remaining = _divmod_bits(remaining, gd)[0]
-        factors.extend(_equal_degree_split(gd, d, rng))
+        factors.extend(_equal_degree_split(gd, d))
     if remaining != 1:
         raise RuntimeError(f"factorization did not exhaust x^{m} + 1")
     factors.sort(key=lambda f: (f.bit_length(), f))

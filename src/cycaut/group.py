@@ -49,6 +49,9 @@ the block-rows and residue-rows constructions are such systems: their
 rows are permuted freely within each column, and the columns are the
 classes mod the number of columns (or mod the number of rows).
 
+`exact_order` is the one order path for verification: `block_order`
+when it applies, else a `PermGroup` chain of the full degree.
+
 `count_and_sift` reduces a stream of image tuples to generators in one
 loop, for `filter_generators` and for brute force alike: it sifts each
 tuple into one chain until the kept ones generate S_n, and from then on
@@ -275,16 +278,12 @@ class PermGroup:
 def exact_order(generators, degree: int) -> tuple[int, dict]:
     """Exact order of the group the permutations generate, and how it
     was found: by `block_order` when it applies, else by a chain of the
-    full degree (see `chain_order`)."""
+    full degree, whose shape the details give."""
     generators = list(generators)
     found = block_order(generators, degree)
     if found is not None:
         return found
-    return chain_order(PermGroup(generators, degree))
-
-
-def chain_order(group: PermGroup) -> tuple[int, dict]:
-    """The order of a built group, with its chain's shape."""
+    group = PermGroup(generators, degree)
     return group.order(), {
         "path": "chain",
         "base_len": len(group.base_points()),

@@ -52,9 +52,10 @@ SOURCE describes the generators of an inner group on a shorter code:
 `load_manifest` checks the whole record tree before anything runs: an
 unknown field, construction kind or inner source, a missing field, a
 construction list on a method that takes none, a name, method,
-generator, kind or source that is not a string, an expected_order that
-is not ASCII decimal, an integer field (n, k, rows, a, at, degree, trials, seed, the
-factor pairs) that is not a JSON integer or is out of range, or a
+generator, expected_order, kind or source that is not a string, an
+expected_order that is not ASCII decimal, an integer field (n, k, rows,
+a, at, degree, trials, seed, the factor pairs) that is not a JSON
+integer or is out of range, or a
 brute-force length beyond BRUTE_FORCE_MAX_N (of an entry or an inner
 source alike) rejects the file, naming the entry and the field.  So does
 a value that does not fit the length of its record: a K or R that does
@@ -176,6 +177,7 @@ def _validate_entry(entry: dict, idx: int) -> None:
     _check_integers(entry, where)
     if method == "brute":
         _check_brute_length(entry["n"], where)
+    _check_string(entry, "expected_order", where)
     parse_order(entry["expected_order"], f"{where}: expected_order")
     factors = entry.get("expected_order_factors", [])
     if not isinstance(factors, list):
@@ -198,12 +200,11 @@ def _validate_entry(entry: dict, idx: int) -> None:
     _check_code(entry, where)
 
 
-def parse_order(value, where: str) -> int:
+def parse_order(text: str, where: str) -> int:
     """A group order given as a string of ASCII decimal digits ("１６８"
     and "1_68" are refused, though `int` reads both)."""
-    text = str(value)
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{where} must be an ASCII decimal string: {value!r}")
+        raise ValueError(f"{where} must be an ASCII decimal string: {text!r}")
     return int(text)
 
 

@@ -33,6 +33,10 @@ loop that counts them and reduces them to generators; the loop is shared
 with `filter_generators`.  Once the kept tuples generate S_n the rest are
 still tested and counted, but not sifted, and no tuple but a kept one is
 wrapped as a `Permutation`.
+
+Every order, the one negative sampling compares against too, comes from
+`group.exact_order`: a drawn p lies in the group G iff |<G, p>| = |G|,
+so `sample_outside` never builds a chain just to ask membership.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from time import perf_counter
 
 from .code import CyclicCode
 from .gf2poly import _divmod_bits
-from .group import PermGroup, chain_order, count_and_sift, exact_order
+from .group import count_and_sift, exact_order
 from .perm import Permutation
 
 # The longest code that brute force enumerates S_n for, wherever it is
@@ -155,7 +159,7 @@ def _closed_reduction(images, n: int) -> tuple[int, list[Permutation]]:
     unless the kept ones generate exactly as many elements."""
     count, kept = count_and_sift(images, n)
     gens = [Permutation._trusted(g) for g in kept]
-    order = PermGroup(gens, degree=n).order()
+    order = exact_order(gens, n)[0]
     if order != count:
         raise RuntimeError(
             f"brute-forced automorphism set is not a group: "
@@ -176,16 +180,17 @@ def _automorphism_images(code: CyclicCode):
     return filter(_automorphism_test(n, code.generator.bits), itertools.permutations(range(n)))
 
 
-def sample_outside(code: CyclicCode, group: PermGroup, trials: int, seed: int) -> int:
+def sample_outside(code: CyclicCode, generators, order: int, trials: int, seed: int) -> int:
     """Draw seeded uniform permutations of S_n and count the automorphisms
-    of the code among those outside the group.  Zero escapes is the
-    expected outcome when the group is the full automorphism group.
+    of the code outside G, the group of this order that the generators
+    generate.  Zero escapes is the expected outcome when G is the full
+    automorphism group.
 
     The automorphism test runs first: it rejects almost every draw on its
-    first row, and only automorphisms need the membership sift.  The
-    count does not depend on the order of the two tests."""
-    if group.degree != code.length:
-        raise ValueError("group degree does not match code length")
+    first row, and only automorphisms need `exact_order` of G and the
+    draw.  The count does not depend on the order of the two tests."""
+    if any(g.degree != code.length for g in generators):
+        raise ValueError("generator degree does not match code length")
     rng = Random(seed)
     n = code.length
     escapes = 0
@@ -193,7 +198,7 @@ def sample_outside(code: CyclicCode, group: PermGroup, trials: int, seed: int) -
         images = list(range(n))
         rng.shuffle(images)
         p = Permutation._trusted(tuple(images))
-        if is_automorphism(code, p) and not group.contains(p):
+        if is_automorphism(code, p) and exact_order([*generators, p], n)[0] != order:
             escapes += 1
     return escapes
 
@@ -249,9 +254,8 @@ def verify_claim(
     (subgroup-only claims); expected_order=None computes the order without
     comparing it.  When sampling=(trials, seed) is given, that
     many random permutations outside the group must all fail
-    is_automorphism; membership needs the full stabilizer chain, so the
-    order then comes from it.  Otherwise it comes from `exact_order`.
-    details["order"] says which path gave the order.
+    is_automorphism (see `sample_outside`).  The order comes from
+    `exact_order`, and details["order"] says which path gave it.
     """
     t0 = perf_counter()
     report = VerificationReport(
@@ -277,11 +281,7 @@ def _failure(report, code, generators, sampling) -> str:
             report.counterexample = str(p)
             return f"generator {label} = {p} is not an automorphism"
     gens = [p for _, p in generators]
-    if sampling is None:
-        report.computed_order, report.details["order"] = exact_order(gens, code.length)
-    else:
-        grp = PermGroup(gens, degree=code.length)
-        report.computed_order, report.details["order"] = chain_order(grp)
+    report.computed_order, report.details["order"] = exact_order(gens, code.length)
     computed, expected = report.computed_order, report.expected_order
     if expected is not None:
         if report.method == "containment":
@@ -292,7 +292,7 @@ def _failure(report, code, generators, sampling) -> str:
     if sampling is not None:
         trials, seed = sampling
         report.sample_trials = trials
-        report.sample_escapes = sample_outside(code, grp, trials, seed)
+        report.sample_escapes = sample_outside(code, gens, computed, trials, seed)
         if report.sample_escapes:
             return (
                 f"{report.sample_escapes} sampled permutations outside the "

@@ -238,13 +238,15 @@ class TestReportDetails:
             "path": "blocks", "classes": 7, "block_size": 7, "top_order": "5040",
         }
 
-    def test_chain_path_when_sampling(self):
-        report = run_entry(ENTRIES["len14-cubic-product"], cache={})
+    def test_blocks_path_when_sampling(self):
+        # sampling asks no membership, so a sampled claim takes the same
+        # order path as the claim without sampling
+        entry = ENTRIES["len14-cubic-product"]
+        report = run_entry(entry, cache={})
         assert report.passed and report.sample_trials == 1000
-        details = report.details["order"]
-        assert details["path"] == "chain"
-        assert details["base_len"] == len(details["orbit_sizes"])
-        assert math.prod(details["orbit_sizes"]) == report.computed_order
+        unsampled = {key: value for key, value in entry.items() if key != "sampling"}
+        assert report.details["order"] == run_entry(unsampled, cache={}).details["order"]
+        assert report.details["order"]["path"] == "blocks"
 
     def test_chain_path_when_declined(self):
         entry = ENTRIES["len14-squared-cubic"]

@@ -17,7 +17,7 @@ from cycaut.cli import main
 from cycaut.code import CyclicCode
 from cycaut.construct import multiplier_subgroup
 from cycaut.gf2poly import divisors_of_xn_minus_1
-from cycaut.group import exact_order
+from cycaut.group import PermGroup, exact_order
 from cycaut.manifest import (
     SHIFT_MULTIPLIERS,
     default_manifest_path,
@@ -71,6 +71,25 @@ def test_records_are_golden(capsys, label, path):
     assert [(r["name"], r["computed_order"], r["pass"], r["seed"]) for r in got] == [
         (name, str(order), passed, seed) for name, order, passed, seed in GOLDEN[label]
     ]
+
+
+def test_no_claim_asks_chain_membership(monkeypatch):
+    """Every order, the one negative sampling compares against too, comes
+    from `exact_order`: with `PermGroup.contains` refused, all bundled
+    entries still pass, and a sampled claim whose draws hit automorphisms
+    outside its group still counts them as escapes."""
+
+    def refuse(self, p):
+        raise AssertionError("PermGroup.contains was called")
+
+    monkeypatch.setattr(PermGroup, "contains", refuse)
+    monkeypatch.setattr(PermGroup, "__contains__", refuse)
+    entries = load_manifest(default_manifest_path()) + load_manifest(extended_manifest_path())
+    assert len(entries) == 15
+    cache: dict = {}
+    assert [e["name"] for e in entries if not run_entry(e, cache=cache).passed] == []
+    sampled = dict(TestEveryMethodRunsVerifyClaim.MULT, sampling={"trials": 300, "seed": 1})
+    assert run_entry(sampled).sample_escapes > 0
 
 
 def test_shift_and_multipliers_have_order_n_times_units():
@@ -186,6 +205,8 @@ class TestLoadTimeRejection:
                       r"^entry 'e': construction\[1\]: field 'kind' must be a string"),
         "source-list": (lambda e: e["construction"][0]["inner"].update(source=["brute"]),
                         r"^entry 'e': construction\[0\]\.inner: field 'source' must be a string"),
+        "expected-order-integer": (lambda e: e.update(expected_order=168),
+                                   r"^entry 'e': field 'expected_order' must be a string: 168$"),
         "inner-generator-integer": (
             lambda e: e["construction"][0]["inner"].update(generator=11),
             r"^entry 'e': construction\[0\]\.inner \(source 'brute'\): "

@@ -102,7 +102,7 @@ class TestRowsAndEnumeration:
 
     def test_enumeration_guard(self):
         big = CyclicCode(25, ONE)
-        with pytest.raises(ValueError, match="max_dim"):
+        with pytest.raises(ValueError, match="exceeds the enumeration limit 20"):
             list(big.codewords())
 
 

@@ -58,6 +58,58 @@ class TestBlockRows:
         assert len(block_row_generators(4, 5)) == 10
 
 
+def _block_rows_reference(k, m):
+    """The k-cycle and (1,2) on the rows of each column of the k x m
+    row-major layout, written out point by point."""
+    degree = k * m
+    gens = []
+    for c in range(m):
+        points = [c + r * m for r in range(k)]
+        images = list(range(degree))
+        for a, b in zip(points, points[1:]):
+            images[a] = b
+        images[points[-1]] = points[0]
+        gens.append(Permutation(tuple(images)))
+        if k > 2:
+            images = list(range(degree))
+            images[points[0]], images[points[1]] = points[1], points[0]
+            gens.append(Permutation(tuple(images)))
+    return gens
+
+
+def _lifted_column_reference(tau, k):
+    """tau on the columns of each of k row-major blocks, point by point."""
+    n = tau.degree
+    images = []
+    for i in range(k):
+        images.extend(t + i * n for t in tau.images)
+    return Permutation(tuple(images))
+
+
+class TestLayoutsAreOneLayoutTransposed:
+    """Block rows and column lifts are built from the residue layout's
+    primitives; they must equal the row-major formulas."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_block_rows_match_the_row_major_formula(self, k, m):
+        assert block_row_generators(k, m) == _block_rows_reference(k, m)
+
+    @given(
+        st.integers(min_value=1, max_value=9).flatmap(lambda d: st.permutations(range(d))),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_lifted_column_matches_the_row_major_formula(self, images, k):
+        tau = Permutation(tuple(images))
+        assert lifted_column_perm(tau, k) == _lifted_column_reference(tau, k)
+
+    def test_argument_checks(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            block_row_generators(3, 0)
+        with pytest.raises(ValueError, match="at least one block"):
+            lifted_column_perm(shift(7), 0)
+
+
 class TestLiftedColumn:
     def test_full_cycle_lift(self):
         lifted = lifted_column_perm(shift(7), 2)

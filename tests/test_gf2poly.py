@@ -167,6 +167,13 @@ class TestFactorXnMinus1:
         with pytest.raises(RuntimeError, match="did not exhaust"):
             factor_xn_minus_1(7)
 
+    def test_a_trace_sweep_that_never_splits_raises(self, monkeypatch):
+        # a zero trace never separates the two cubic factors of x^7+1; the
+        # sweep must end in an exception that survives python -O
+        monkeypatch.setattr(gf2poly, "_trace_mod", lambda h, d, g: 0)
+        with pytest.raises(RuntimeError, match="splits a product of degree-3 irreducibles"):
+            factor_xn_minus_1(7)
+
     @pytest.mark.parametrize("n", list(range(1, 41)) + [49, 62, 63, 98, 105])
     def test_invariants(self, n):
         factors = factor_xn_minus_1(n)

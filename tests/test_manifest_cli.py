@@ -230,6 +230,12 @@ class TestVerifyTable:
         assert code == 1
         assert "168" in out and "169" in out
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_filter_that_matches_nothing_is_a_usage_error(self, capsys, mode):
+        code, out, err = run_cli(capsys, *mode, "verify-table", "--filter", "nosuch")
+        assert (code, out) == (2, "")
+        assert err == "error: --filter 'nosuch' matches no entry\n"
+
     def test_empty_manifest(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text("[]")

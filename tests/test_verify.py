@@ -269,49 +269,53 @@ def _membership_first(code, group, trials, seed):
 
 class TestSampleOutside:
     def test_escapes_match_a_membership_first_count(self):
-        # <shift> has order 7 inside Aut = 168, so draws escape
-        cyclic = PermGroup([shift(7)], degree=7)
-        for seed in range(6):
-            escapes = sample_outside(HAMMING, cyclic, 300, seed)
-            assert escapes == _membership_first(HAMMING, cyclic, 300, seed)[0]
-            assert escapes > 0
+        # <shift> (order 7) and <shift, i -> 2i> (order 21) lie inside
+        # Aut = 168, so draws escape
+        for gens in ([shift(7)], [shift(7), multiplier(2, 7)]):
+            group = PermGroup(gens, degree=7)
+            for seed in range(6):
+                escapes = sample_outside(HAMMING, gens, group.order(), 300, seed)
+                assert escapes == _membership_first(HAMMING, group, 300, seed)[0]
+                assert escapes > 0
 
-    def test_membership_is_asked_only_for_automorphisms(self):
+    def test_exact_order_is_asked_only_for_automorphisms(self, monkeypatch):
         cyclic = PermGroup([shift(7)], degree=7)
         automorphisms = _membership_first(HAMMING, cyclic, 300, 2)[1]
         asked = []
-        real = cyclic.contains
+        real = verify_module.exact_order
 
-        def counting(p):
-            asked.append(p)
-            return real(p)
+        def counting(generators, degree):
+            asked.append(generators[-1])
+            return real(generators, degree)
 
-        cyclic.contains = counting
-        sample_outside(HAMMING, cyclic, 300, seed=2)
+        monkeypatch.setattr(verify_module, "exact_order", counting)
+        sample_outside(HAMMING, [shift(7)], 7, 300, seed=2)
         assert 0 < len(asked) == automorphisms
         assert all(is_automorphism(HAMMING, p) for p in asked)
 
     def test_full_group_leaves_nothing_outside(self):
-        s7 = PermGroup([parse_cycles("(1,2)", 7), shift(7)])
-        assert sample_outside(HAMMING, s7, 200, seed=1) == 0
+        s7 = [parse_cycles("(1,2)", 7), shift(7)]
+        assert sample_outside(HAMMING, s7, 5040, 200, seed=1) == 0
 
     def test_full_automorphism_group_has_no_escapes(self):
-        aut = PermGroup(filter_generators(brute_force_aut(HAMMING), 7), degree=7)
-        assert sample_outside(HAMMING, aut, 500, seed=0) == 0
+        aut = filter_generators(brute_force_aut(HAMMING), 7)
+        assert sample_outside(HAMMING, aut, 168, 500, seed=0) == 0
 
     def test_counts_against_trivial_group(self):
-        trivial = PermGroup([], degree=7)
-        count = sample_outside(HAMMING, trivial, 1000, seed=0)
+        count = sample_outside(HAMMING, [], 1, 1000, seed=0)
         # P(random in Aut) = 168/5040 = 1/30; the seeded draw is deterministic
-        assert count == sample_outside(HAMMING, trivial, 1000, seed=0)
+        assert count == sample_outside(HAMMING, [], 1, 1000, seed=0)
         assert 10 <= count <= 70
 
     def test_deterministic_per_seed(self):
-        trivial = PermGroup([], degree=7)
-        a = sample_outside(HAMMING, trivial, 100, seed=3)
-        b = sample_outside(HAMMING, trivial, 100, seed=4)
-        assert a == sample_outside(HAMMING, trivial, 100, seed=3)
-        assert b == sample_outside(HAMMING, trivial, 100, seed=4)
+        a = sample_outside(HAMMING, [], 1, 100, seed=3)
+        b = sample_outside(HAMMING, [], 1, 100, seed=4)
+        assert a == sample_outside(HAMMING, [], 1, 100, seed=3)
+        assert b == sample_outside(HAMMING, [], 1, 100, seed=4)
+
+    def test_generator_degree_must_match_the_code(self):
+        with pytest.raises(ValueError, match="degree does not match code length"):
+            sample_outside(HAMMING, [shift(6)], 6, 10, seed=0)
 
 
 class TestVerifyClaim:
