@@ -4,9 +4,10 @@ Schreier-Sims stabilizer chain.
 The chain is a list of levels.  Level i holds a base point, the
 generators assigned to levels <= i that fix the bases of levels < i, the
 orbit of the base point under those generators, and one explicit
-transversal permutation (with its inverse) per orbit point.  Group order
-is the exact product of orbit sizes, carried as a Python int, so orders
-far beyond 64 bits are fine.
+transversal permutation (with its inverse and a mask that holds the
+points it moves) per orbit point.  Group order is the exact product of
+orbit sizes, carried as a Python int, so orders far beyond 64 bits are
+fine.
 
 Everything is deterministic: base points are chosen greedily as the
 smallest point moved by the generator that opens a level, orbits grow in
@@ -19,16 +20,32 @@ of the prefix of its orbit order already paired with that generator.
 The orbit order only grows at its end, so the pairs done for a generator
 are always such a prefix.
 
-The pair (s, base) is skipped when s fixes the base.  Its Schreier
-generator is s itself, and s is also a generator of the next level.  A
-stored generator is a sifted residue: it fixes the bases of the levels
-before the one where its sift got stuck, moves the base of that one, and
-is stored at every level down to it.  The deeper levels are complete
-whenever a level's pairs are sifted, so s would sift to the identity.
-Only this pair is redundant.  The other pairs of an s that fixes the
-base are not: for <(1,2,3,4), (2,3)> = S_4 at base 1, the pairs of (2,3)
-alone would give a stabilizer of order 2, not 6.  The skip saves work
-without changing the chain.
+A Schreier generator sigma = u_{s(p)}^-1 s u_p of level i is skipped
+when it equals a stored generator, that is, a sifted residue; one set
+holds them for the whole chain.  A stored generator is a generator of
+every level from the one it was ingested at down to the one where its
+sift got stuck, and it fixes the bases of the levels before that one and
+moves the base of that one.  sigma fixes the bases of levels 0..i, so a
+stored generator equal to it got stuck below level i.  If it was
+ingested at or above level i+1, it is a generator of level i+1;
+otherwise sigma fixes the bases down to the level it was ingested at,
+and its sift from level i+1 passes them unchanged and reaches that
+level, of which it is a generator.  The levels below i are complete
+whenever level i's pairs are sifted, so either way sigma would sift to
+the identity.
+
+Before composing sigma, a cheaper test applies: when s fixes p and moves
+no point that u_p moves, s commutes with u_p, and sigma is s itself, a
+stored generator.  Each generator carries a mask of the points it moves,
+computed once, and each transversal the union of the masks of the
+generators it is a product of, which holds every point it moves; the
+test asks that s fixes p and that the masks of s and u_p are disjoint.
+Its simplest case is the pair (s, base) of an s that fixes the base,
+where u_base is the identity.
+The other pairs of such an s are not redundant: for <(1,2,3,4), (2,3)> =
+S_4 at base 1, the pairs of (2,3) alone would give a stabilizer of order
+2, not 6.  Both skips drop only pairs whose sift would find nothing, so
+the chain is the same with or without them.
 
 `block_order` finds the exact order of many large groups without a
 chain of their degree.  Split the points 0..n-1 into the c residue
@@ -62,7 +79,7 @@ from __future__ import annotations
 
 import itertools
 from math import factorial
-from operator import itemgetter
+from operator import itemgetter, ne
 from random import Random
 
 from .perm import Permutation
@@ -85,13 +102,23 @@ def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def _support(a: tuple[int, ...], identity: tuple[int, ...]) -> int:
+    """A mask of the points a moves, one byte per point, nonzero where a
+    moves it: two masks are disjoint iff their bitwise and is 0."""
+    return int.from_bytes(bytes(map(ne, a, identity)), "little")
+
+
 class _Level:
     __slots__ = ("base", "gens", "orbit", "orbit_order", "pending", "scanned", "paired")
 
     def __init__(self, base: int, identity: tuple[int, ...]):
         self.base = base
-        self.gens: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        self.orbit = {base: (identity, identity)}  # point -> (u, u^-1), u(base) = point
+        # (g, g^-1, `_support` of g)
+        self.gens: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
+        # point -> (u, u^-1, mask), u(base) = point; the mask is the union
+        # of the supports of the generators u is a product of, so it holds
+        # every point u moves
+        self.orbit = {base: (identity, identity, 0)}
         self.orbit_order = [base]
         self.pending = [base]
         self.scanned = 0  # gens already applied to every settled orbit point
@@ -103,6 +130,8 @@ class _Chain:
         self.degree = degree
         self.identity = tuple(range(degree))
         self.levels: list[_Level] = []
+        self.stored: set[tuple[int, ...]] = set()  # every generator of every level
+        self.sifted = 0  # Schreier generators sifted so far
 
     def extend(self, gens) -> None:
         """Add generators and re-establish the stabilizer-chain invariant."""
@@ -132,7 +161,8 @@ class _Chain:
         acc = self.identity
         for lvl in self.levels:
             point = lvl.orbit_order[rng.randrange(len(lvl.orbit_order))]
-            acc = _mul(acc, lvl.orbit[point][0])
+            if point != lvl.base:
+                acc = _mul(acc, lvl.orbit[point][0])
         return acc
 
     def base_points(self) -> list[int]:
@@ -162,10 +192,11 @@ class _Chain:
         if stuck == len(self.levels):
             base = min(i for i in range(self.degree) if g[i] != i)
             self.levels.append(_Level(base, self.identity))
-        ginv = _inv(g)
+        gen = (g, _inv(g), _support(g, self.identity))
+        self.stored.add(g)
         for j in range(first, stuck + 1):
             lvl = self.levels[j]
-            lvl.gens.append((g, ginv))
+            lvl.gens.append(gen)
             lvl.paired.append(0)
         return stuck
 
@@ -184,20 +215,20 @@ class _Chain:
             new = gens[lvl.scanned :]
             lvl.scanned = len(gens)
             for p in list(order):
-                up, upinv = orbit[p]
-                for g, ginv in new:
+                up, upinv, up_mask = orbit[p]
+                for g, ginv, g_support in new:
                     q = g[p]
                     if q not in orbit:
-                        orbit[q] = (_mul(g, up), _mul(upinv, ginv))
+                        orbit[q] = (_mul(g, up), _mul(upinv, ginv), g_support | up_mask)
                         order.append(q)
                         pending.append(q)
         while pending:
             p = pending.pop()
-            up, upinv = orbit[p]
-            for g, ginv in gens:
+            up, upinv, up_mask = orbit[p]
+            for g, ginv, g_support in gens:
                 q = g[p]
                 if q not in orbit:
-                    orbit[q] = (_mul(g, up), _mul(upinv, ginv))
+                    orbit[q] = (_mul(g, up), _mul(upinv, ginv), g_support | up_mask)
                     order.append(q)
                     pending.append(q)
 
@@ -206,12 +237,12 @@ class _Chain:
         residue, ingest it and return the deepest level it reached."""
         lvl = self.levels[i]
         identity = self.identity
-        base = lvl.base
+        stored = self.stored
         orbit = lvl.orbit
         order = lvl.orbit_order
         paired = lvl.paired
         end = len(order)
-        for gi, (s, _) in enumerate(lvl.gens):
+        for gi, (s, _, s_support) in enumerate(lvl.gens):
             start = paired[gi]
             if start == end:
                 continue
@@ -219,11 +250,13 @@ class _Chain:
             for k in range(start, end):
                 p = order[k]
                 sp = s[p]
-                if p == base and sp == base:
-                    continue  # the Schreier generator is s, a next-level generator
-                sigma = _mul(orbit[sp][1], _mul(s, orbit[p][0]))
-                if sigma == identity:
+                up, _, up_mask = orbit[p]
+                if sp == p and not s_support & up_mask:
+                    continue  # the Schreier generator is s, a stored generator
+                sigma = _mul(orbit[sp][1], _mul(s, up))
+                if sigma == identity or sigma in stored:
                     continue
+                self.sifted += 1
                 residue, stuck = self._sift(sigma, i + 1)
                 if residue == identity:
                     continue
@@ -278,7 +311,8 @@ class PermGroup:
 def exact_order(generators, degree: int) -> tuple[int, dict]:
     """Exact order of the group the permutations generate, and how it
     was found: by `block_order` when it applies, else by a chain of the
-    full degree, whose shape the details give."""
+    full degree, whose shape and cost the details give: the number of
+    strong generators it stores and of Schreier generators it sifted."""
     generators = list(generators)
     found = block_order(generators, degree)
     if found is not None:
@@ -288,6 +322,8 @@ def exact_order(generators, degree: int) -> tuple[int, dict]:
         "path": "chain",
         "base_len": len(group.base_points()),
         "orbit_sizes": group.orbit_sizes(),
+        "strong_generators": len(group._chain.stored),
+        "schreier_sifted": group._chain.sifted,
     }
 
 

@@ -254,7 +254,13 @@ class TestReportDetails:
         gens = expand_constructions(code, entry["construction"], cache={})
         report = verify_claim(code, gens, int(entry["expected_order"]))
         assert report.passed
-        assert report.details["order"]["path"] == "chain"
+        details = report.details["order"]
+        assert details["path"] == "chain"
+        assert details["base_len"] == 6
+        assert details["orbit_sizes"] == [14, 6, 7, 6, 4, 4]
+        assert details["strong_generators"] == 13
+        # the sifts are counted; a later skip may lower the count
+        assert 0 < details["schreier_sifted"] <= 23
 
     def test_record_has_no_details(self):
         report = run_entry(ENTRIES["len49-residue-rows"], cache={})

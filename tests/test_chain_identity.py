@@ -1,20 +1,42 @@
 """Chain-identity regression: the stabilizer chains of two default-manifest
-groups are pinned (base, orbit sizes, order, seeded random elements), so
-any change to how the chain is built must reproduce it exactly.
+groups and of the n = 186 block-rows group are pinned (base, orbit sizes,
+order, seeded random elements), so any change to how the chain is built
+must reproduce it exactly.
 
 The random elements are pinned by a SHA-256 prefix of their cycle
 notation; `random_element` walks the chain's transversals in order, so it
 changes whenever a transversal or the orbit order changes."""
 
 import hashlib
+import json
 import math
 
 import pytest
 
 from cycaut.group import PermGroup
-from cycaut.manifest import _code_for, default_manifest_path, expand_constructions, load_manifest
+from cycaut.manifest import (
+    _code_for,
+    default_manifest_path,
+    expand_constructions,
+    extended_manifest_path,
+    load_manifest,
+)
 
 ENTRIES = {e["name"]: e for e in load_manifest(default_manifest_path())}
+
+
+def block_rows_entry(k):
+    """The extended len961 claim (k = 31) with k rows: n = 31k."""
+    entry = json.loads(json.dumps(load_manifest(extended_manifest_path())[0]))
+    entry["n"] = 31 * k
+    for spec in entry["construction"]:
+        spec["k"] = k
+    return entry
+
+
+# The group of the chain-membership benchmark: (S_6)^31 extended by the
+# 310 column maps of the [31, 21] code.
+ENTRIES["len186-block-rows"] = block_rows_entry(6)
 
 PINNED = {
     "len49-block-rows": {
@@ -35,6 +57,20 @@ PINNED = {
         "order": math.factorial(7) * math.factorial(14) ** 7,
         "random": ["cd57435ca3983eff", "256a0c1e32b6c49a", "e044a7f6a7d0a97c",
                    "26d1b5dfb1b8d2f6", "dbe335d429a98a96"],
+    },
+    "len186-block-rows": {
+        "base": list(range(31)) + [
+            61, 154, 92, 123, 60, 153, 91, 122, 59, 152, 90, 121, 58, 151, 89, 120, 57, 150,
+            88, 119, 56, 149, 87, 118, 55, 148, 86, 117, 54, 147, 85, 116, 53, 146, 84, 115,
+            52, 145, 83, 114, 51, 144, 82, 113, 50, 143, 81, 112, 49, 142, 80, 111, 48, 141,
+            79, 110, 47, 140, 78, 109, 46, 139, 77, 108, 45, 138, 76, 107, 44, 137, 75, 106,
+            43, 136, 74, 105, 42, 135, 73, 104, 41, 134, 72, 103, 40, 133, 71, 102, 39, 132,
+            70, 101, 38, 131, 69, 100, 37, 130, 68, 99, 36, 129, 67, 98, 35, 128, 66, 97, 34,
+            127, 65, 96, 33, 126, 64, 95, 32, 125, 63, 94, 31, 62, 124, 93],
+        "orbits": [186, 60] + [6] * 29 + [5, 4, 3, 2] * 31,
+        "order": 310 * math.factorial(6) ** 31,
+        "random": ["47eaea18a73821ef", "3ebde3b7301b8922", "ddfd4762951cc9ec",
+                   "03432c83d5305245", "93cd5607f3b49d6e"],
     },
 }
 

@@ -1,12 +1,14 @@
 import itertools
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cycaut.group as group_module
-from cycaut.construct import shift
+from cycaut.construct import block_row_generators, lifted_column_perm, shift
 from cycaut.group import PermGroup, count_and_sift, filter_generators
+from cycaut.manifest import _code_for, expand_constructions, extended_manifest_path, load_manifest
 from cycaut.perm import Permutation, parse_cycles
 
 
@@ -191,8 +193,8 @@ class TestFilterGeneratorsSymmetricStop:
 
 
 class TestBasePairSkip:
-    """The chain skips the Schreier pair (s, base) of a generator s that
-    fixes the base, and only that pair."""
+    """The chain skips a Schreier generator that equals a stored
+    generator, which would sift to the identity, and only such ones."""
 
     def test_s4_from_four_cycle_and_transposition(self):
         grp = G("(1,2,3,4)", "(2,3)", degree=4)
@@ -202,7 +204,7 @@ class TestBasePairSkip:
         # the point stabilizer of 1, built from the chain's next level, is
         # S_3 on {2,3,4}; the pairs of (2,3) alone would give order 2
         stab = PermGroup(
-            [Permutation(g) for g, _ in grp._chain.levels[1].gens], degree=4
+            [Permutation(g) for g, _, _ in grp._chain.levels[1].gens], degree=4
         )
         assert stab.order() == 6
         assert all(g.images[0] == 0 for g in stab.generators)
@@ -211,6 +213,40 @@ class TestBasePairSkip:
         # (3,4) and (4,5) fix the first base 1; the stabilizer is S_4 on {2..5}
         assert G("(1,2)", "(2,3)", "(3,4)", "(4,5)", degree=5).order() == 120
         assert G("(3,4)", "(1,2,3)", "(4,5)", degree=5).order() == 120
+
+    def test_base_pair_of_a_generator_moving_the_base(self):
+        # s = (1,3,2)(4,5) moves the base 1, so its pair (s, base) is not
+        # s itself; a rule that skipped every base pair would give order 6
+        grp = G("(1,3)", "(1,3,2)(4,5)", degree=5)
+        assert grp.order() == 12
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [2, 3, 5, 6])
+    @pytest.mark.parametrize("full_top", [False, True])
+    def test_wreath_products(self, k, m, full_top):
+        # (S_k)^m as per-class generators, two per class, extended by
+        # column maps: the m-cycle (order m) or, with (1,2), all of S_m
+        taus = [shift(m)] + ([parse_cycles("(1,2)", m)] if full_top else [])
+        top = math.factorial(m) if full_top else m
+        gens = block_row_generators(k, m) + [lifted_column_perm(t, k) for t in taus]
+        for listed in (gens, gens[::-1]):
+            grp = PermGroup(listed, degree=k * m)
+            assert grp.order() == math.factorial(k) ** m * top
+            assert grp._chain.stored == {g for lvl in grp._chain.levels for g, _, _ in lvl.gens}
+
+    def test_block_rows_sifts_few_schreier_generators(self):
+        # The n = 186 block-rows group of the chain-membership benchmark
+        # has 42,266 Schreier pairs; without the skips 33,868 of them are
+        # sifted, with them 639.
+        entry = json.loads(json.dumps(load_manifest(extended_manifest_path())[0]))
+        entry["n"] = 186
+        for spec in entry["construction"]:
+            spec["k"] = 6
+        code = _code_for(entry["n"], entry["generator"])
+        gens = [p for _, p in expand_constructions(code, entry["construction"], {})]
+        grp = PermGroup(gens, degree=186)
+        assert grp.order() == 310 * math.factorial(6) ** 31
+        assert 0 < grp._chain.sifted <= 1000
 
 
 class TestSmallDegrees:
