@@ -1,15 +1,7 @@
 """Binary cyclic codes, their automorphism groups, and an
 order-verification harness."""
 
-from .code import (
-    BlockRows,
-    Codeword,
-    CyclicCode,
-    ResidueRows,
-    apply_to_word,
-    from_matrix,
-    to_matrix,
-)
+from .code import Codeword, CyclicCode, apply_to_word
 from .construct import (
     block_row_generators,
     interleaved_lift,
@@ -44,13 +36,11 @@ from .verify import (
 )
 
 __all__ = [
-    "BlockRows",
     "Codeword",
     "CyclicCode",
     "Gf2Poly",
     "PermGroup",
     "Permutation",
-    "ResidueRows",
     "VerificationReport",
     "apply_to_word",
     "block_row_generators",
@@ -61,7 +51,6 @@ __all__ = [
     "filter_generators",
     "format_cycles",
     "format_poly",
-    "from_matrix",
     "gcd",
     "interleaved_lift",
     "is_automorphism",
@@ -77,7 +66,6 @@ __all__ = [
     "row_permutation",
     "sample_outside",
     "shift",
-    "to_matrix",
     "verify_claim",
     "x_pow_n_minus_1",
 ]

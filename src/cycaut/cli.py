@@ -35,6 +35,14 @@ from .manifest import (
 from .verify import VerificationReport, brute_force_group, verify_claim
 
 
+def _decimal(text: str) -> int:
+    """A length argument in ASCII digits alone: `int` also reads "７",
+    "+7" and "1_5"."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"not an ASCII decimal: {text!r}")
+    return int(text)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: `parse_args`
@@ -48,19 +56,19 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("factor", help="factor x^n+1 into irreducibles")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_decimal)
 
     p = sub.add_parser("code-info", help="parameters and small-code statistics")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_decimal)
     p.add_argument("generator")
 
     p = sub.add_parser("aut-brute", help="brute-force automorphism group order")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_decimal)
     p.add_argument("generator")
     p.add_argument("--emit-gens", action="store_true")
 
     p = sub.add_parser("aut-construct", help="build generators from a construction spec")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_decimal)
     p.add_argument("generator")
     spec = p.add_mutually_exclusive_group(required=True)
     spec.add_argument("--spec", help="construction list as inline JSON")
@@ -69,7 +77,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-gens", action="store_true")
 
     p = sub.add_parser("multipliers", help="units whose residue maps preserve the code")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_decimal)
     p.add_argument("generator")
 
     p = sub.add_parser("verify-table", help="run a verification manifest")

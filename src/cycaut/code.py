@@ -1,5 +1,4 @@
-"""Binary cyclic codes: construction, membership, enumeration, and the
-matrix views of codewords used by the automorphism constructions.
+"""Binary cyclic codes: construction, membership and enumeration.
 
 A length-n cyclic code is the ideal of GF(2)[x]/(x^n - 1) generated by a
 divisor g of x^n - 1; a length-n word belongs to the code iff its
@@ -119,51 +118,3 @@ class CyclicCode:
 
     def weight_distribution(self) -> dict[int, int]:
         return dict(sorted(Counter(w.weight() for w in self.codewords()).items()))
-
-
-@dataclass(frozen=True, slots=True)
-class BlockRows:
-    """Row-major layout: coordinate j (1-based) sits at row ceil(j/cols),
-    column ((j-1) mod cols) + 1; rows are consecutive blocks."""
-
-    rows: int
-    cols: int
-
-
-@dataclass(frozen=True, slots=True)
-class ResidueRows:
-    """Column-major layout: the (a, b) entry is coordinate a+(b-1)*rows,
-    so row a collects the coordinates congruent to a mod rows.  With
-    rows=2 this is the odd/even interleaving of a length-2p word."""
-
-    rows: int
-    cols: int
-
-
-MatrixLayout = BlockRows | ResidueRows
-
-
-def _flat_index(layout: MatrixLayout, r: int, c: int) -> int:
-    if isinstance(layout, BlockRows):
-        return r * layout.cols + c
-    return r + c * layout.rows
-
-
-def to_matrix(w: Codeword, layout: MatrixLayout) -> list[list[int]]:
-    if layout.rows * layout.cols != w.length:
-        raise ValueError("layout size does not match word length")
-    return [
-        [(w.bits >> _flat_index(layout, r, c)) & 1 for c in range(layout.cols)]
-        for r in range(layout.rows)
-    ]
-
-
-def from_matrix(matrix: list[list[int]], layout: MatrixLayout) -> Codeword:
-    if len(matrix) != layout.rows or any(len(row) != layout.cols for row in matrix):
-        raise ValueError("matrix shape does not match layout")
-    bits = 0
-    for r in range(layout.rows):
-        for c in range(layout.cols):
-            if matrix[r][c]:
-                bits |= 1 << _flat_index(layout, r, c)
-    return Codeword(layout.rows * layout.cols, bits)

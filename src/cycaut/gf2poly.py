@@ -6,9 +6,10 @@ multiplication is carry-less convolution.  The zero polynomial is the
 integer 0 and its degree is the sentinel -inf, so degree comparisons
 against real degrees always behave.
 
-The text grammar is a sum of terms over {"1", "x", "x^K"} joined by "+"
-("0" alone denotes the zero polynomial).  The parser accepts terms in any
-order; the formatter emits descending exponents, e.g. "x^3+x+1".
+The text grammar is a sum of terms over {"1", "x", "x^K"}, K in ASCII
+digits, joined by "+" ("0" alone denotes the zero polynomial).  The
+parser accepts terms in any order; the formatter emits descending
+exponents, e.g. "x^3+x+1".
 
 `factor_xn_minus_1` splits a product g of distinct degree-d irreducibles
 by gcd(g, Tr(x^e)), Tr(h) = h + h^2 + ... + h^(2^(d-1)) mod g, at the
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 NEG_INF = float("-inf")
 
-_TERM_RE = re.compile(r"1|x(\^\d+)?")
-_FACTOR_RE = re.compile(r"\(([^()]+)\)(?:\^(\d+))?")
+_TERM_RE = re.compile(r"1|x(\^\d+)?", re.ASCII)
+_FACTOR_RE = re.compile(r"\(([^()]+)\)(?:\^(\d+))?", re.ASCII)
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,9 +44,6 @@ class Gf2Poly:
     def degree(self) -> int | float:
         """Degree of the polynomial; -inf for the zero polynomial."""
         return self.bits.bit_length() - 1 if self.bits else NEG_INF
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
     def __bool__(self) -> bool:
         return self.bits != 0
@@ -66,8 +64,6 @@ class Gf2Poly:
         return divmod(self, other)[0]
 
     def __mod__(self, other: Gf2Poly) -> Gf2Poly:
-        if other.bits == 0:
-            raise ZeroDivisionError("division by zero polynomial")
         return Gf2Poly(_mod_bits(self.bits, other.bits))
 
     def __pow__(self, e: int) -> Gf2Poly:

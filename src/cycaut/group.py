@@ -82,7 +82,7 @@ from math import factorial
 from operator import itemgetter, ne
 from random import Random
 
-from .perm import Permutation
+from .perm import Permutation, _inv
 
 
 def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -93,13 +93,6 @@ def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     composes.
     """
     return itemgetter(*b)(a)
-
-
-def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(a)
-    for i, j in enumerate(a):
-        inv[j] = i
-    return tuple(inv)
 
 
 def _support(a: tuple[int, ...], identity: tuple[int, ...]) -> int:
@@ -164,9 +157,6 @@ class _Chain:
             if point != lvl.base:
                 acc = _mul(acc, lvl.orbit[point][0])
         return acc
-
-    def base_points(self) -> list[int]:
-        return [lvl.base for lvl in self.levels]
 
     def _sift(self, g, start: int):
         """Reduce g by transversal elements; returns (residue, stuck level).
@@ -298,7 +288,7 @@ class PermGroup:
         return Permutation(self._chain.sample(Random(seed)))
 
     def base_points(self) -> list[int]:
-        return self._chain.base_points()
+        return [lvl.base for lvl in self._chain.levels]
 
     def orbit_sizes(self) -> list[int]:
         """Basic orbit sizes, one per base point; their product is the order."""
@@ -369,14 +359,7 @@ def _residue_block_order(gens, n: int, c: int) -> tuple[int, dict] | None:
             symmetric[key] = _generates_symmetric(key, k)
         if symmetric[key]:
             full.add(j)
-    pending = list(full)
-    while pending:
-        j = pending.pop()
-        for top in tops:
-            if top[j] not in full:
-                full.add(top[j])
-                pending.append(top[j])
-    if len(full) < c:
+    if len(_orbit(full, lambda j: [top[j] for top in tops])) < c:
         return None
     top_order = PermGroup([Permutation(t) for t in tops], degree=c).order()
     details = {"path": "blocks", "classes": c, "block_size": k, "top_order": str(top_order)}
@@ -408,27 +391,27 @@ def _generates_symmetric(perms: tuple[tuple[int, ...], ...], k: int) -> bool:
     conjugates of t are all the transpositions, so the group is Sym(k)
     iff that graph is connected.  Without a transposition, the order of
     a degree-k chain decides."""
-    if len(_orbit(0, lambda p: [g[p] for g in perms])) < k:
+    if len(_orbit([0], lambda p: [g[p] for g in perms])) < k:
         return False
     for t in perms:
         moved = [i for i in range(k) if t[i] != i]
         if len(moved) == 2:
             pairs = _orbit(
-                tuple(moved), lambda ab: [tuple(sorted((g[ab[0]], g[ab[1]]))) for g in perms]
+                [tuple(moved)], lambda ab: [tuple(sorted((g[ab[0]], g[ab[1]]))) for g in perms]
             )
             adjacent: list[list[int]] = [[] for _ in range(k)]
             for a, b in pairs:
                 adjacent[a].append(b)
                 adjacent[b].append(a)
-            return len(_orbit(0, adjacent.__getitem__)) == k
+            return len(_orbit([0], adjacent.__getitem__)) == k
     return PermGroup([Permutation(g) for g in perms], degree=k).order() == factorial(k)
 
 
-def _orbit(start, neighbours) -> set:
-    """Everything reachable from start, where neighbours(x) lists the
-    points one step from x."""
-    seen = {start}
-    pending = [start]
+def _orbit(starts, neighbours) -> set:
+    """Everything reachable from the starts, where neighbours(x) lists
+    the points one step from x."""
+    seen = set(starts)
+    pending = list(seen)
     while pending:
         for y in neighbours(pending.pop()):
             if y not in seen:

@@ -5,7 +5,7 @@ Entry fields:
   name            unique label
   n               code length
   generator       polynomial text, plain or product form "(f1)(f2)^k..."
-  expected_order  decimal string (orders routinely exceed 64 bits)
+  expected_order  positive decimal string (orders routinely exceed 64 bits)
   expected_order_factors
                   optional [[base, exp], ...]; their product must equal
                   expected_order (arithmetic identity of the claim)
@@ -53,19 +53,20 @@ SOURCE describes the generators of an inner group on a shorter code:
 unknown field, construction kind or inner source, a missing field, a
 construction list on a method that takes none, a name, method,
 generator, expected_order, kind or source that is not a string, an
-expected_order that is not ASCII decimal, an integer field (n, k, rows,
-a, at, degree, trials, seed, the factor pairs) that is not a JSON
-integer or is out of range, or a
-brute-force length beyond BRUTE_FORCE_MAX_N (of an entry or an inner
-source alike) rejects the file, naming the entry and the field.  So does
+expected_order that is not a positive ASCII decimal, an integer field
+(n, k, rows, a, at, degree, trials, seed, the factor pairs) that is not
+a JSON integer or is out of range, or a brute-force length beyond
+BRUTE_FORCE_MAX_N (of an entry or an inner source alike) rejects the
+file, naming the entry and the field.  So does
 a value that does not fit the length of its record: a K or R that does
 not divide it, a block_rows K below 2, an odd length for pair_swap or
 interleaved_lift, an interleaved row other than 1 or 2, an "at" row
 outside 1..R, a multiplier that is not a unit, a cycle text that does
 not parse at its degree (R for row_permutation), an inner source of
 another degree than the one noted above, or a generator that does not
-divide x^n+1.  Expansion and `run_entry` rely on these checks and make
-none of their own.
+divide x^n+1.  Polynomial and cycle texts take ASCII digits only, as
+expected_order does.  Expansion and `run_entry` rely on these checks and
+make none of their own.
 """
 
 from __future__ import annotations
@@ -202,10 +203,14 @@ def _validate_entry(entry: dict, idx: int) -> None:
 
 def parse_order(text: str, where: str) -> int:
     """A group order given as a string of ASCII decimal digits ("１６８"
-    and "1_68" are refused, though `int` reads both)."""
+    and "1_68" are refused, though `int` reads both), at least 1: every
+    order divides "0", which would pass any containment claim."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"{where} must be an ASCII decimal string: {text!r}")
-    return int(text)
+    order = int(text)
+    if order < 1:
+        raise ValueError(f"{where} must be positive: {text!r}")
+    return order
 
 
 def validate_constructions(specs, n: int, where: str = "construction") -> None:

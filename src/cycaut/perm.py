@@ -14,6 +14,14 @@ from dataclasses import dataclass
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
+def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of an image tuple."""
+    inv = [0] * len(a)
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
+
+
 @dataclass(frozen=True, slots=True)
 class Permutation:
     """Bijection on {0, ..., degree-1}, stored as the tuple of images."""
@@ -52,10 +60,7 @@ class Permutation:
         return Permutation(tuple(map(img.__getitem__, other.images)))
 
     def inverse(self) -> Permutation:
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
+        return Permutation._trusted(_inv(self.images))
 
     def __pow__(self, e: int) -> Permutation:
         if e < 0:
@@ -87,7 +92,9 @@ class Permutation:
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
-    """Parse disjoint cycles in 1-based notation; "()" is the identity."""
+    """Parse disjoint cycles in 1-based notation; "()" is the identity.
+    Points are written in ASCII digits alone: no sign, underscore or other
+    script's digit, though `int` reads them."""
     s = "".join(text.split())
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -104,10 +111,10 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         body = m.group(1)
         if not body:
             continue
-        try:
-            points = [int(t) for t in body.split(",")]
-        except ValueError:
-            raise ValueError(f"bad cycle {m.group(0)!r}") from None
+        texts = body.split(",")
+        if not all(t.isascii() and t.isdigit() for t in texts):
+            raise ValueError(f"bad cycle {m.group(0)!r}")
+        points = [int(t) for t in texts]
         for pt in points:
             if not 1 <= pt <= degree:
                 raise ValueError(f"point {pt} out of range 1..{degree}")

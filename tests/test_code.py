@@ -1,15 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cycaut.code import (
-    BlockRows,
-    Codeword,
-    CyclicCode,
-    ResidueRows,
-    apply_to_word,
-    from_matrix,
-    to_matrix,
-)
+from cycaut.code import Codeword, CyclicCode, apply_to_word
 from cycaut.construct import shift
 from cycaut.gf2poly import ONE, parse_poly, parse_poly_product, x_pow_n_minus_1
 
@@ -104,41 +96,6 @@ class TestRowsAndEnumeration:
         big = CyclicCode(25, ONE)
         with pytest.raises(ValueError, match="exceeds the enumeration limit 20"):
             list(big.codewords())
-
-
-class TestMatrixLayouts:
-    def test_block_rows_generator_word(self):
-        v0 = Codeword.from_text("1101000")
-        w = Codeword(14, v0.bits)  # v0 padded with zeros
-        mat = to_matrix(w, BlockRows(2, 7))
-        assert mat[0] == [1, 1, 0, 1, 0, 0, 0]
-        assert mat[1] == [0] * 7
-
-    def test_residue_rows_first_coordinate(self):
-        w = Codeword.from_text("10000000000000")
-        mat = to_matrix(w, ResidueRows(2, 7))
-        assert mat[0] == [1, 0, 0, 0, 0, 0, 0]
-        assert mat[1] == [0] * 7
-
-    def test_residue_rows_parity_split(self):
-        # odd coordinates fill row 1, even coordinates row 2
-        w = Codeword.from_text("10" * 7)
-        mat = to_matrix(w, ResidueRows(2, 7))
-        assert mat[0] == [1] * 7
-        assert mat[1] == [0] * 7
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            to_matrix(Codeword(6, 0), BlockRows(2, 7))
-
-    @given(st.data())
-    def test_roundtrip_both_layouts(self, data):
-        rows = data.draw(st.integers(min_value=1, max_value=5))
-        cols = data.draw(st.integers(min_value=1, max_value=5))
-        bits = data.draw(st.integers(min_value=0, max_value=(1 << (rows * cols)) - 1))
-        w = Codeword(rows * cols, bits)
-        for layout in (BlockRows(rows, cols), ResidueRows(rows, cols)):
-            assert from_matrix(to_matrix(w, layout), layout) == w
 
 
 class TestCodewordText:

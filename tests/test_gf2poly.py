@@ -223,6 +223,13 @@ class TestTextForm:
             with pytest.raises(ValueError):
                 parse_poly(bad)
 
+    def test_rejects_non_ascii_digits(self):
+        # without re.ASCII, \d matches the digits of every script
+        with pytest.raises(ValueError, match="bad polynomial term"):
+            parse_poly("x^\uff13+x+1")
+        with pytest.raises(ValueError, match="bad polynomial product"):
+            parse_poly_product("(x^3+x+1)^\uff12")
+
     def test_rejects_repeated_terms(self):
         with pytest.raises(ValueError):
             parse_poly("x+x")

@@ -56,6 +56,14 @@ class TestFactorCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("n", ["\uff17", "1_5", "+7"])
+    def test_n_not_in_ascii_digits_is_a_usage_error(self, capsys, n):
+        # argparse's type=int would read each of these
+        with pytest.raises(SystemExit) as exc:
+            main(["factor", n])
+        assert exc.value.code == 2
+        assert "not an ASCII decimal" in capsys.readouterr().err
+
     def test_factor_json(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "factor", "7")
         assert code == 0
@@ -153,6 +161,20 @@ class TestAutConstructCommand:
         )
         assert code == 1
         assert "56448" in err
+
+    def test_expect_zero_is_refused(self, capsys):
+        # every order divides 0
+        code, out, err = run_cli(
+            capsys, "aut-construct", "62", "(x^5+x^2+1)^2",
+            "--spec", '[{"kind": "pair_swap"}]', "--expect", "0",
+        )
+        assert code == 2 and out == ""
+        assert "--expect must be positive" in err
+
+    def test_generator_not_in_ascii_digits_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "aut-brute", "7", "x^\u0663+x+1")
+        assert code == 2 and out == ""
+        assert "bad polynomial term" in err
 
     def test_requires_spec(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -437,6 +459,17 @@ class TestManifestSchema:
 
         with pytest.raises(ValueError, match="entry 'typo'.*expected_order.*ASCII"):
             self._load_one(tmp_path, change=full_width)
+
+    @pytest.mark.parametrize("factors", [None, [[0, 3]]], ids=["plain", "factored"])
+    def test_rejects_zero_expected_order(self, tmp_path, factors):
+        # every order divides 0, so a containment claim of 0 would pass
+        def zero(e):
+            e.update(expected_order="0", method="containment")
+            if factors is not None:
+                e["expected_order_factors"] = factors
+
+        with pytest.raises(ValueError, match="entry 'typo': expected_order must be positive"):
+            self._load_one(tmp_path, change=zero)
 
     def test_rejects_unknown_kind(self, tmp_path):
         def typo(e):

@@ -77,6 +77,12 @@ class TestCycleNotation:
         with pytest.raises(ValueError):
             parse_cycles("", 5)
 
+    @pytest.mark.parametrize("text", ["(\uff11,2)", "(+3,1)", "(1_0,2)"])
+    def test_rejects_points_not_in_ascii_digits(self, text):
+        # int() reads each of these points
+        with pytest.raises(ValueError, match="bad cycle"):
+            parse_cycles(text, 10)
+
     @given(permutations())
     def test_roundtrip(self, p):
         assert parse_cycles(format_cycles(p), p.degree) == p

@@ -1,10 +1,12 @@
-"""Runtime checks must not rely on `assert`, which `python -O` strips."""
+"""Runtime checks must not rely on `assert`, which `python -O` strips;
+and the package keeps no dead private names or stray exports."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import cycaut
@@ -22,6 +24,66 @@ def test_no_assert_statement_in_the_package():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def _named(tree) -> Counter:
+    """How often each name is read, assigned, defined, imported or taken
+    as an attribute within the tree."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.asname or node.name] += 1
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] += 1
+    return found
+
+
+def _private_definitions(tree):
+    """The module-level functions, classes and constants whose names
+    start with one underscore, each with its defining statement."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_definition_is_named_elsewhere_in_the_package():
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    named = sum((_named(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if named[name] == _named(node)[name]
+    ]
+    assert unused == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    path = PACKAGE / "__init__.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(cycaut.__all__) == sorted(imported)
 
 
 def _verify_table_records(*python_flags):
