@@ -240,6 +240,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    Orders can run to tens of thousands of digits, so this lifts
+    CPython's limit on integer string conversion (4300 digits) for the
+    whole process, not for this call alone: `sys.set_int_max_str_digits`
+    is process-wide.  CPython 3.10.0-3.10.6 have no such limit."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _parser().parse_args(argv)
     try:
         status = _COMMANDS[args.command](args)

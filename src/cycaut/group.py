@@ -383,15 +383,18 @@ def _class_images(g: tuple[int, ...], c: int) -> tuple[int, ...] | None:
 def _generates_symmetric(perms: tuple[tuple[int, ...], ...], k: int) -> bool:
     """True iff the image tuples generate Sym(k).
 
-    Transitivity first, which is cheap.  Then, when one of them is a
-    transposition t = (a b): the pairs {g(a), g(b)}, g in the group, are
-    the conjugates of t, transpositions of the group, and they are the
-    closure of {a, b} under the generators.  Transpositions whose graph
-    on the k points is connected generate Sym(k), and in Sym(k) the
-    conjugates of t are all the transpositions, so the group is Sym(k)
-    iff that graph is connected.  Without a transposition, the order of
-    a degree-k chain decides."""
+    Transitivity first, then parity, which are cheap: for k >= 2, even
+    permutations generate a subgroup of Alt(k).  Then, when one of them
+    is a transposition t = (a b): the pairs {g(a), g(b)}, g in the group,
+    are the conjugates of t, transpositions of the group, and they are
+    the closure of {a, b} under the generators.  Transpositions whose
+    graph on the k points is connected generate Sym(k), and in Sym(k)
+    the conjugates of t are all the transpositions, so the group is
+    Sym(k) iff that graph is connected.  Without a transposition, the
+    order of a degree-k chain decides."""
     if len(_orbit([0], lambda p: [g[p] for g in perms])) < k:
+        return False
+    if k >= 2 and not any(map(_is_odd, perms)):
         return False
     for t in perms:
         moved = [i for i in range(k) if t[i] != i]
@@ -405,6 +408,21 @@ def _generates_symmetric(perms: tuple[tuple[int, ...], ...], k: int) -> bool:
                 adjacent[b].append(a)
             return len(_orbit([0], adjacent.__getitem__)) == k
     return PermGroup([Permutation(g) for g in perms], degree=k).order() == factorial(k)
+
+
+def _is_odd(g: tuple[int, ...]) -> bool:
+    """True iff the image tuple is an odd permutation: one whose degree
+    minus its number of cycles is odd."""
+    seen = bytearray(len(g))
+    cycles = 0
+    for i in range(len(g)):
+        if not seen[i]:
+            cycles += 1
+            j = i
+            while not seen[j]:
+                seen[j] = 1
+                j = g[j]
+    return (len(g) - cycles) % 2 == 1
 
 
 def _orbit(starts, neighbours) -> set:

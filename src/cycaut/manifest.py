@@ -9,24 +9,14 @@ Entry fields:
   expected_order_factors
                   optional [[base, exp], ...]; their product must equal
                   expected_order (arithmetic identity of the claim)
-  method          "brute" | "construct" | "multiplier" | "containment"
-  construction    list of construction records (construct/containment only)
+  method          "brute" | "construct"
+  construction    list of construction records (construct only)
   sampling        optional {"trials": int, "seed": int}, both required
 
-Every method runs one pipeline, code -> generators -> `verify_claim`.
-A method is the inner source (SOURCE below) of its generators on the
-entry's own code:
-
-  brute           source "brute": the reduced generating set of the
-                  brute-forced automorphisms (`brute_force_group`), which
-                  generates exactly as many elements as were found
-  multiplier      source "shift_multipliers": the shift and the
-                  preserving units
-  construct       source "construct" with the construction list as its
-                  specs; the order must equal the claim
-  containment     the same generators; the order must divide the claim
-
-`sampling` applies to every method: that many seeded random permutations
+Both methods run one pipeline, code -> generators -> `verify_claim`,
+and the exact order of the generated group must equal the claim.  A
+method is the inner source (SOURCE below) of the same name on the
+entry's own code.  With `sampling`, that many seeded random permutations
 outside the generated group must all fail the automorphism test.
 
 Construction records (degree = code length unless noted):
@@ -53,7 +43,8 @@ SOURCE describes the generators of an inner group on a shorter code:
 unknown field, construction kind or inner source, a missing field, a
 construction list on a method that takes none, a name, method,
 generator, expected_order, kind or source that is not a string, an
-expected_order that is not a positive ASCII decimal, an integer field
+expected_order that is not a positive ASCII decimal, factors whose
+product is not the expected_order, an integer field
 (n, k, rows, a, at, degree, trials, seed, the factor pairs) that is not
 a JSON integer or is out of range, or a brute-force length beyond
 BRUTE_FORCE_MAX_N (of an entry or an inner source alike) rejects the
@@ -92,13 +83,8 @@ from .gf2poly import parse_poly_product
 from .perm import Permutation, parse_cycles
 from .verify import BRUTE_FORCE_MAX_N, VerificationReport, brute_force_group, verify_claim
 
-# Each method and the inner source of its generators on the entry's code.
-METHODS = {
-    "brute": "brute",
-    "construct": "construct",
-    "multiplier": "shift_multipliers",
-    "containment": "construct",
-}
+# The methods, each the inner source of its generators on the entry's code.
+METHODS = ("brute", "construct")
 # The generators of the shift_multipliers source.
 SHIFT_MULTIPLIERS = [{"kind": "shift"}, {"kind": "multipliers"}]
 
@@ -179,7 +165,7 @@ def _validate_entry(entry: dict, idx: int) -> None:
     if method == "brute":
         _check_brute_length(entry["n"], where)
     _check_string(entry, "expected_order", where)
-    parse_order(entry["expected_order"], f"{where}: expected_order")
+    expected = parse_order(entry["expected_order"], f"{where}: expected_order")
     factors = entry.get("expected_order_factors", [])
     if not isinstance(factors, list):
         raise ValueError(f"{where}: field 'expected_order_factors' must be a list")
@@ -189,10 +175,17 @@ def _validate_entry(entry: dict, idx: int) -> None:
             raise ValueError(f"{named} must be a [base, exponent] pair: {pair!r}")
         _check_integer(pair[0], f"{named}[0]", None)
         _check_integer(pair[1], f"{named}[1]", 1)
+    if factors:
+        claimed = math.prod(b**e for b, e in factors)
+        if claimed != expected:
+            raise ValueError(
+                f"{where}: field 'expected_order_factors' multiplies to {claimed}, "
+                f"not expected_order {expected}"
+            )
     if "sampling" in entry:
         _check_fields(entry["sampling"], f"{where}: sampling", *_SAMPLING_FIELDS)
         _check_integers(entry["sampling"], f"{where}: sampling")
-    if method in ("construct", "containment"):
+    if method == "construct":
         if not entry.get("construction"):
             raise ValueError(f"{where} needs a construction list")
         validate_constructions(entry["construction"], entry["n"], f"{where}: construction")
@@ -203,11 +196,15 @@ def _validate_entry(entry: dict, idx: int) -> None:
 
 def parse_order(text: str, where: str) -> int:
     """A group order given as a string of ASCII decimal digits ("１６８"
-    and "1_68" are refused, though `int` reads both), at least 1: every
-    order divides "0", which would pass any containment claim."""
+    and "1_68" are refused, though `int` reads both), at least 1.  A text
+    longer than the interpreter's limit on integer string conversion
+    (`sys.set_int_max_str_digits`) is refused with its `where`."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"{where} must be an ASCII decimal string: {text!r}")
-    order = int(text)
+    try:
+        order = int(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
     if order < 1:
         raise ValueError(f"{where} must be positive: {text!r}")
     return order
@@ -376,9 +373,9 @@ def expand_source(source: dict, cache: dict | None = None) -> list[Permutation]:
 def _generators(
     kind: str, code: CyclicCode, specs: list[dict] | None, cache: dict | None
 ) -> list[tuple[str, Permutation]]:
-    """The labelled generators of a source on the code: the brute-force
-    reduction, made once per run cache, or the expansion of the specs
-    (SHIFT_MULTIPLIERS for "shift_multipliers")."""
+    """The labelled generators of a source (or method) on the code: the
+    brute-force reduction, made once per run cache, or the expansion of
+    the specs (SHIFT_MULTIPLIERS for "shift_multipliers")."""
     if kind != "brute":
         specs = SHIFT_MULTIPLIERS if kind == "shift_multipliers" else specs
         return expand_constructions(code, specs, cache)
@@ -445,26 +442,18 @@ def run_entry(entry: dict, *, cache: dict | None = None) -> VerificationReport:
     """Verify one manifest entry and return its report.  The method picks
     only the source of the generators; `verify_claim` checks them all the
     same way."""
-    name = entry["name"]
     method = entry["method"]
-    expected = int(entry["expected_order"])
-    factors = entry.get("expected_order_factors")
-    if factors is not None:
-        claimed = math.prod(b**e for b, e in factors)
-        if claimed != expected:
-            return unchecked_report(
-                entry, f"expected_order {expected} does not equal the factored form {claimed}"
-            )
     code = _code_for(entry["n"], entry["generator"])
     sampling = None
     if "sampling" in entry:
         sampling = (entry["sampling"]["trials"], entry["sampling"]["seed"])
 
     t0 = perf_counter()
-    generators = _generators(METHODS[method], code, entry.get("construction"), cache)
+    generators = _generators(method, code, entry.get("construction"), cache)
     expansion_ms = (perf_counter() - t0) * 1000.0
     report = verify_claim(
-        code, generators, expected, name=name, method=method, sampling=sampling
+        code, generators, int(entry["expected_order"]),
+        name=entry["name"], method=method, sampling=sampling,
     )
     report.elapsed_ms += expansion_ms
     return report

@@ -250,9 +250,8 @@ def verify_claim(
 
     Every generator must individually pass is_automorphism (none is
     trusted by construction).  The exact order of the group they generate
-    must equal the expected order, or divide it for method "containment"
-    (subgroup-only claims); expected_order=None computes the order without
-    comparing it.  When sampling=(trials, seed) is given, that
+    must equal the expected order; expected_order=None computes the order
+    without comparing it.  When sampling=(trials, seed) is given, that
     many random permutations outside the group must all fail
     is_automorphism (see `sample_outside`).  The order comes from
     `exact_order`, and details["order"] says which path gave it.
@@ -283,12 +282,8 @@ def _failure(report, code, generators, sampling) -> str:
     gens = [p for _, p in generators]
     report.computed_order, report.details["order"] = exact_order(gens, code.length)
     computed, expected = report.computed_order, report.expected_order
-    if expected is not None:
-        if report.method == "containment":
-            if expected % computed:
-                return f"constructed subgroup order {computed} does not divide expected {expected}"
-        elif computed != expected:
-            return f"order mismatch: computed {computed}, expected {expected}"
+    if expected is not None and computed != expected:
+        return f"order mismatch: computed {computed}, expected {expected}"
     if sampling is not None:
         trials, seed = sampling
         report.sample_trials = trials

@@ -15,14 +15,16 @@ from cycaut.manifest import (
     report_record,
     run_entry,
 )
-from cycaut.perm import Permutation
+from cycaut.perm import Permutation, parse_cycles
 from cycaut.verify import verify_claim
 
 ENTRIES = {e["name"]: e for e in load_manifest(default_manifest_path())}
-CONSTRUCTED = [
-    name for name, e in ENTRIES.items() if e["method"] in ("construct", "containment")
-]
-DECLINED = {"len14-squared-cubic", "len62-squared-quintic-containment"}
+CONSTRUCTED = [name for name, e in ENTRIES.items() if e["method"] == "construct"]
+# n = 31 is prime, so the len31 rows have no residue classes to try
+DECLINED = {
+    "len14-squared-cubic", "len31-two-quintics", "len31-three-quintics",
+    "len62-squared-quintic",
+}
 
 
 def _class_perm(images_by_row, c, j, k):
@@ -134,9 +136,9 @@ class TestRandomWreathProducts:
 
 
 class TestGeneratesSymmetric:
-    """`_generates_symmetric` decides Sym(k) from the graph of the
-    conjugates of a transposition when one generator is a transposition,
-    and from a degree-k chain otherwise."""
+    """`_generates_symmetric` refuses Sym(k) to even generators, decides
+    it from the graph of the conjugates of a transposition when one
+    generator is a transposition, and from a degree-k chain otherwise."""
 
     @staticmethod
     def _no_chain(monkeypatch):
@@ -159,10 +161,20 @@ class TestGeneratesSymmetric:
         assert _generates_symmetric(((1, 0, 2, 3, 4), (1, 2, 3, 4, 0)), 5)
         assert _generates_symmetric(((1, 0),), 2)
 
-    def test_without_a_transposition_the_chain_decides(self):
-        # A_4 from two 3-cycles; S_4 from a 4-cycle and a 3-cycle
+    def test_even_generators_need_no_chain(self, monkeypatch):
+        # the len62-squared-quintic generators of GL(5,2) on 31 points: a
+        # 31-cycle and a product of 8 transpositions, both even
+        shift31 = tuple((i + 1) % 31 for i in range(31))
+        transvection = parse_cycles("(1,19)(6,12)(9,24)(11,18)(15,16)(17,26)(23,27)(28,30)", 31)
+        self._no_chain(monkeypatch)
+        assert not _generates_symmetric((shift31, transvection.images), 31)
+        # A_4 from two 3-cycles
         assert not _generates_symmetric(((1, 2, 0, 3), (0, 2, 3, 1)), 4)
+
+    def test_without_a_transposition_the_chain_decides(self):
+        # S_4 from a 4-cycle and a 3-cycle; Sym(1)
         assert _generates_symmetric(((1, 2, 3, 0), (1, 2, 0, 3)), 4)
+        assert _generates_symmetric(((0,),), 1)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)

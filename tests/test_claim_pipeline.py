@@ -1,8 +1,8 @@
-"""One claim pipeline: every manifest method builds generators and hands
+"""One claim pipeline: both manifest methods build generators and hand
 them to `verify_claim`.  These tests pin the records the pipeline gives,
-the fact that lets the `multiplier` method drop its own check, the
-load-time rejection of what the pipeline would ignore or misread, and
-the two scripts built on the library."""
+the order of the shift-and-multipliers construction, the load-time
+rejection of what the pipeline would ignore or misread, and the two
+scripts built on the library."""
 
 import json
 import math
@@ -16,16 +16,19 @@ import pytest
 from cycaut.cli import main
 from cycaut.code import CyclicCode
 from cycaut.construct import multiplier_subgroup
-from cycaut.gf2poly import divisors_of_xn_minus_1
+from cycaut.gf2poly import divisors_of_xn_minus_1, parse_poly_product
 from cycaut.group import PermGroup, exact_order
 from cycaut.manifest import (
     SHIFT_MULTIPLIERS,
     default_manifest_path,
     expand_constructions,
+    expand_source,
     extended_manifest_path,
     load_manifest,
     run_entry,
 )
+from cycaut.perm import Permutation
+from cycaut.verify import is_automorphism
 
 ROOT = Path(__file__).resolve().parent.parent
 F = math.factorial
@@ -43,7 +46,7 @@ GOLDEN = {
         ("len49-residue-rows", F(7) ** 8, True, None),
         ("len62-two-quintics", 310 * 2**31, True, None),
         ("len62-three-quintics", 155 * 2**31, True, None),
-        ("len62-squared-quintic-containment", 2 * 155**2, True, None),
+        ("len62-squared-quintic", 2 * 9999360**2, True, None),
         ("len98-squared-cubic", 2 * 168**2 * F(7) ** 14, True, None),
         ("len98-cubic-product", F(7) * F(14) ** 7, True, None),
     ],
@@ -88,14 +91,13 @@ def test_no_claim_asks_chain_membership(monkeypatch):
     assert len(entries) == 15
     cache: dict = {}
     assert [e["name"] for e in entries if not run_entry(e, cache=cache).passed] == []
-    sampled = dict(TestEveryMethodRunsVerifyClaim.MULT, sampling={"trials": 300, "seed": 1})
+    sampled = dict(TestEveryMethodRunsVerifyClaim.SHIFT_MULT, sampling={"trials": 300, "seed": 1})
     assert run_entry(sampled).sample_escapes > 0
 
 
 def test_shift_and_multipliers_have_order_n_times_units():
     """The preserving units U form a group, so <shift, mu_a : a in U> is
-    {i -> a*i + b : a in U}, of order n * |U|: the `multiplier` method's
-    old second condition is an identity."""
+    {i -> a*i + b : a in U}, of order n * |U|."""
     checked = 0
     for n in range(1, 32):
         for g in divisors_of_xn_minus_1(n):
@@ -106,14 +108,60 @@ def test_shift_and_multipliers_have_order_n_times_units():
     assert checked == 929  # 927 with 2 <= n <= 31, and g = 1, x+1 at n = 1
 
 
+class TestSquaredQuinticRow:
+    """C = <(x^5+x^2+1)^2> of length 62 is two interleaved [31,26] Hamming
+    codes, and Aut(C) = GL(5,2) wr S_2.  On the points i <-> x^i mod
+    x^5+x^2+1 of F_32, the shift is the Singer cycle v -> x*v, and with
+    one transvection it generates GL(5,2)."""
+
+    ENTRY = next(
+        e for e in load_manifest(default_manifest_path()) if e["name"] == "len62-squared-quintic"
+    )
+    INNER = ENTRY["construction"][0]["inner"]
+    HAMMING = CyclicCode(31, parse_poly_product("x^5+x^2+1"))
+
+    @staticmethod
+    def _transvection():
+        """v -> v + v_0 * x on F_32 = F_2[x]/(x^5+x^2+1), v_0 the constant
+        coefficient, as a permutation of the exponents i of v = x^i."""
+        powers, v = [], 1
+        for _ in range(31):
+            powers.append(v)
+            v <<= 1
+            if v >> 5:
+                v ^= 0b100101
+        log = {v: i for i, v in enumerate(powers)}
+        return Permutation(tuple(log[v ^ (0b10 if v & 1 else 0)] for v in powers))
+
+    def test_the_cycle_texts_are_the_shift_and_the_transvection(self):
+        shift31, transvection = expand_source(self.INNER)
+        assert shift31 == Permutation(tuple((i + 1) % 31 for i in range(31)))
+        assert transvection == self._transvection()
+
+    def test_they_generate_gl_5_2(self):
+        gens = expand_source(self.INNER)
+        assert all(is_automorphism(self.HAMMING, p) for p in gens)
+        assert exact_order(gens, 31)[0] == 9999360 == math.prod(2**5 - 2**i for i in range(5))
+
+    def test_the_shift_alone_fails(self):
+        # the subgroup of order 1922 divides the claim, but a PASS needs
+        # equality
+        entry = json.loads(json.dumps(self.ENTRY))
+        entry["construction"][0]["inner"]["cycles"] = self.INNER["cycles"][:1]
+        report = run_entry(entry, cache={})
+        assert not report.passed
+        assert report.reason == "order mismatch: computed 1922, expected 199974400819200"
+
+
 class TestEveryMethodRunsVerifyClaim:
     BRUTE = {"name": "b", "n": 7, "generator": "x^3+x+1",
              "expected_order": "168", "method": "brute"}
     # <shift, multipliers> has order 21 here, but Aut = PSL(2,7) has 168
-    MULT = {"name": "m", "n": 7, "generator": "x^3+x+1",
-            "expected_order": "21", "method": "multiplier"}
+    SHIFT_MULT = {"name": "m", "n": 7, "generator": "x^3+x+1",
+                  "expected_order": "21", "method": "construct",
+                  "construction": SHIFT_MULTIPLIERS}
 
-    @pytest.mark.parametrize("entry", [BRUTE, MULT], ids=["brute", "multiplier"])
+    @pytest.mark.parametrize("entry", [BRUTE, SHIFT_MULT], ids=["brute", "shift-multipliers"])
     def test_order_path_is_reported(self, entry):
         report = run_entry(entry)
         assert report.passed and report.details["order"]["path"] in ("blocks", "chain")
@@ -123,22 +171,22 @@ class TestEveryMethodRunsVerifyClaim:
         assert report.passed, report.reason
         assert (report.seed, report.sample_trials, report.sample_escapes) == (5, 300, 0)
 
-    def test_sampling_applies_to_multiplier(self):
-        assert run_entry(self.MULT).passed
-        report = run_entry(dict(self.MULT, sampling={"trials": 300, "seed": 1}))
+    def test_sampling_applies_to_construct(self):
+        assert run_entry(self.SHIFT_MULT).passed
+        report = run_entry(dict(self.SHIFT_MULT, sampling={"trials": 300, "seed": 1}))
         assert not report.passed
         assert report.sample_escapes > 0 and "sampled" in report.reason
 
     def test_mismatch_text_is_shared(self):
-        for entry in (self.BRUTE, self.MULT):
+        for entry in (self.BRUTE, self.SHIFT_MULT):
             report = run_entry(dict(entry, expected_order="7"))
             assert not report.passed
             assert report.reason.startswith("order mismatch: computed ")
 
-    def test_order_one_multiplier_claim(self):
+    def test_order_one_shift_multipliers_claim(self):
         for g in ("1", "x+1"):
-            entry = {"name": "one", "n": 1, "generator": g,
-                     "expected_order": "1", "method": "multiplier"}
+            entry = {"name": "one", "n": 1, "generator": g, "expected_order": "1",
+                     "method": "construct", "construction": SHIFT_MULTIPLIERS}
             assert run_entry(entry).passed
 
 
@@ -274,14 +322,19 @@ class TestLoadTimeRejection:
             self._load(tmp_path, entry)
         assert str(info.value).startswith("entry 'e': construction[0]")
 
-    @pytest.mark.parametrize("method", ["brute", "multiplier"])
-    def test_construction_on_a_method_that_takes_none(self, tmp_path, method):
-        entry = {"name": "m", "n": 31, "generator": "(x^5+x^2+1)(x^5+x^3+1)",
-                 "expected_order": "310", "method": method,
+    def test_construction_on_a_method_that_takes_none(self, tmp_path):
+        entry = {"name": "m", "n": 7, "generator": "x^3+x+1",
+                 "expected_order": "168", "method": "brute",
                  "construction": [{"kind": "shift"}]}
-        if method == "brute":
-            entry.update(n=7, generator="x^3+x+1", expected_order="168")
-        with pytest.raises(ValueError, match=f"entry 'm': method '{method}' takes no field 'construction'"):
+        with pytest.raises(ValueError, match="entry 'm': method 'brute' takes no field 'construction'"):
+            self._load(tmp_path, entry)
+
+    @pytest.mark.parametrize("method", ["containment", "multiplier"])
+    def test_removed_methods_are_refused(self, tmp_path, method):
+        entry = {"name": "x", "n": 31, "generator": "(x^5+x^2+1)(x^5+x^3+1)",
+                 "expected_order": "310", "method": method,
+                 "construction": SHIFT_MULTIPLIERS}
+        with pytest.raises(ValueError, match=f"^entry 'x': unknown method '{method}'$"):
             self._load(tmp_path, entry)
 
     def test_aut_construct_spec_fields(self, capsys):

@@ -10,11 +10,11 @@ import cycaut.cli as cli_module
 import cycaut.manifest as manifest_module
 from cycaut.cli import main
 from cycaut.manifest import (
+    SHIFT_MULTIPLIERS,
     default_manifest_path,
     expand_source,
     extended_manifest_path,
     load_manifest,
-    run_entry,
 )
 
 
@@ -336,7 +336,8 @@ class TestEntryIsolation:
            "expected_order": "1", "method": "construct",
            "construction": [{"kind": "block_rows", "k": 7}]}
     GOOD_B = {"name": "good-b", "n": 31, "generator": "(x^5+x^2+1)(x^5+x^3+1)",
-              "expected_order": "310", "method": "multiplier"}
+              "expected_order": "310", "method": "construct",
+              "construction": SHIFT_MULTIPLIERS}
 
     @pytest.fixture(autouse=True)
     def _faulty_block_rows(self, monkeypatch):
@@ -418,18 +419,24 @@ class TestManifestSchema:
         with pytest.raises(ValueError, match="divide"):
             load_manifest(str(path))
 
-    def test_rejects_inconsistent_factored_order(self):
+    def test_rejects_inconsistent_factored_order(self, tmp_path, capsys):
         entry = {
             "name": "bad-factors",
             "n": 7,
             "generator": "x^3+x+1",
             "expected_order": "168",
-            "expected_order_factors": [[169, 1]],
+            "expected_order_factors": [[2, 3], [20, 1]],
             "method": "brute",
         }
-        report = run_entry(entry)
-        assert not report.passed
-        assert "factored" in report.reason
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([entry]))
+        message = (
+            "entry 'bad-factors': field 'expected_order_factors' multiplies to 160, "
+            "not expected_order 168"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_manifest(str(path))
+        assert run_cli(capsys, "--json", "verify-table", str(path)) == (2, "", f"error: {message}\n")
 
     @staticmethod
     def _load_one(tmp_path, change=None):
@@ -462,9 +469,9 @@ class TestManifestSchema:
 
     @pytest.mark.parametrize("factors", [None, [[0, 3]]], ids=["plain", "factored"])
     def test_rejects_zero_expected_order(self, tmp_path, factors):
-        # every order divides 0, so a containment claim of 0 would pass
+        # an order is at least 1
         def zero(e):
-            e.update(expected_order="0", method="containment")
+            e.update(expected_order="0")
             if factors is not None:
                 e["expected_order_factors"] = factors
 

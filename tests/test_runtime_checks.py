@@ -1,5 +1,6 @@
 """Runtime checks must not rely on `assert`, which `python -O` strips;
-and the package keeps no dead private names or stray exports."""
+the package keeps no dead private names or stray exports; and the
+bundled manifests run every construction kind and inner source but two."""
 
 import ast
 import json
@@ -10,6 +11,13 @@ from collections import Counter
 from pathlib import Path
 
 import cycaut
+from cycaut.manifest import (
+    _KINDS,
+    _SOURCES,
+    default_manifest_path,
+    extended_manifest_path,
+    load_manifest,
+)
 
 PACKAGE = Path(cycaut.__file__).parent
 
@@ -105,3 +113,26 @@ def test_optimized_run_gives_the_same_records():
     plain = _verify_table_records()
     assert len(plain) == 13
     assert _verify_table_records("-O") == plain
+
+
+def _tags(node, found):
+    """Collect the "kind" and "source" values anywhere in a record tree."""
+    if isinstance(node, dict):
+        for tag in ("kind", "source"):
+            if tag in node:
+                found[tag].add(node[tag])
+        for value in node.values():
+            _tags(value, found)
+    elif isinstance(node, list):
+        for value in node:
+            _tags(value, found)
+    return found
+
+
+def test_bundled_manifests_use_every_kind_and_source_but_two():
+    # the multiplier and perms kinds are run by the schema and
+    # construction tests alone
+    entries = load_manifest(default_manifest_path()) + load_manifest(extended_manifest_path())
+    found = _tags(entries, {"kind": set(), "source": set()})
+    assert found["kind"] == set(_KINDS) - {"multiplier", "perms"}
+    assert found["source"] == set(_SOURCES)

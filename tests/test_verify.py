@@ -389,17 +389,14 @@ class TestVerifyClaim:
         assert "PASS tiny" in report.summary()
         assert "computed=7" in report.summary()
 
-    def test_containment_mode(self):
+    def test_a_proper_subgroup_fails(self):
+        # the shift generates a subgroup of order 14, which divides the
+        # claim but does not equal it
         code = CyclicCode(14, parse_poly_product("(x^3+x+1)^2"))
-        gens = [("s", shift(14))]
-        report = verify_claim(code, gens, 56448, method="containment")
-        assert report.passed
-        assert report.computed_order == 14
-        report = verify_claim(code, gens, 56449, method="containment")
+        report = verify_claim(code, [("s", shift(14))], 56448)
         assert not report.passed
-        assert "does not divide" in report.reason
-        # the same claim as "construct" needs equality
-        assert not verify_claim(code, gens, 56448).passed
+        assert report.computed_order == 14
+        assert report.reason == "order mismatch: computed 14, expected 56448"
 
 
 class TestAutomorphismInvariants:
