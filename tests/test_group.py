@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,7 +248,92 @@ class TestBasePairSkip:
         gens = [p for _, p in expand_constructions(code, entry["construction"], {})]
         grp = PermGroup(gens, degree=186)
         assert grp.order() == 310 * math.factorial(6) ** 31
-        assert 0 < grp._chain.sifted <= 1000
+        assert grp._chain.sifted == 639
+        assert len(grp._chain.stored) == 197
+
+
+@st.composite
+def _sparse_and_dense_generators(draw):
+    """A degree <= 40 and generators of it, in a drawn order: the block
+    rows of a k x m layout with lifted column maps (a wreath-type group),
+    cycles on a few nearby points, and permutations of every point."""
+    gens = []
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 5))
+        m = draw(st.integers(2, 40 // k))
+        degree = k * m
+        gens += block_row_generators(k, m)
+        columns = draw(st.lists(st.permutations(range(m)), max_size=2))
+        gens += [lifted_column_perm(Permutation(tuple(c)), k) for c in columns]
+    else:
+        degree = draw(st.integers(4, 40))
+    for _ in range(draw(st.integers(0, 4))):
+        length = draw(st.integers(2, min(5, degree)))
+        start = draw(st.integers(0, degree - length))
+        window = range(start, min(degree, start + 2 * length))
+        cycle = draw(st.permutations(window))[:length]
+        images = list(range(degree))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+        gens.append(Permutation(tuple(images)))
+    for _ in range(draw(st.integers(0, 2))):
+        gens.append(Permutation(tuple(draw(st.permutations(range(degree))))))
+    return degree, draw(st.permutations(gens))
+
+
+def _chain_state(gens, degree):
+    grp = PermGroup(gens, degree=degree)
+    chain = grp._chain
+    return {
+        "base": grp.base_points(),
+        "orbit_order": [lvl.orbit_order for lvl in chain.levels],
+        "transversals": [lvl.orbit for lvl in chain.levels],  # u, u^-1 and mask per point
+        "stored": chain.stored,
+        "sifted": chain.sifted,
+        "random": [grp.random_element(seed) for seed in range(5)],
+    }
+
+
+def _dense_product(chain, seed):
+    """`random_element` as a product of transversals composed over all
+    points."""
+    rng = Random(seed)
+    acc = chain.identity
+    for lvl in chain.levels:
+        point = lvl.orbit_order[rng.randrange(len(lvl.orbit_order))]
+        if point != lvl.base:
+            acc = tuple(acc[i] for i in lvl.orbit[point][0])
+    return acc
+
+
+class TestSparsePath:
+    """The chain looks up the Schreier generators u_p^-1 s u_p of
+    generators s that move few points by their moved points alone, and
+    writes out only those it does not find; with that path switched off,
+    every Schreier generator is composed over all points.  Both must
+    build the same chain and draw the same random elements, and those
+    must be the products of the drawn transversals, which `sample`
+    updates only where a transversal with a small mask moves points."""
+
+    @given(_sparse_and_dense_generators())
+    @settings(max_examples=60, deadline=None)
+    def test_same_chain_without_the_sparse_path(self, case):
+        degree, gens = case
+        shipped = _chain_state(gens, degree)
+        with mock.patch.object(group_module, "_sparse_moves", lambda a, identity: None):
+            dense = _chain_state(gens, degree)
+        assert shipped == dense
+        chain = PermGroup(gens, degree=degree)._chain
+        assert [p.images for p in shipped["random"]] == [
+            _dense_product(chain, seed) for seed in range(5)
+        ]
+
+    def test_sparse_rule(self):
+        identity = tuple(range(8))
+        assert group_module._sparse_moves((1, 0, 2, 3, 4, 5, 6, 7), identity) == (0, 1)
+        assert group_module._sparse_moves((1, 2, 0, 3, 4, 5, 6, 7), identity) is None
+        # the degree-7 chains of brute force never take the sparse path
+        assert group_module._sparse_moves((1, 0, 2, 3, 4, 5, 6), identity[:7]) is None
 
 
 class TestSmallDegrees:
