@@ -26,6 +26,7 @@ from .manifest import (
     default_manifest_path,
     expand_constructions,
     load_manifest,
+    parse_json,
     parse_order,
     report_record,
     run_entry,
@@ -140,10 +141,11 @@ def _cmd_aut_brute(args) -> int:
 
 def _cmd_aut_construct(args) -> int:
     if args.spec is not None:
-        where, specs = "--spec", json.loads(args.spec)
+        where, text = "--spec", args.spec
     else:
         with open(args.spec_file, encoding="utf-8") as fh:
-            where, specs = "--spec-file", json.load(fh)
+            where, text = "--spec-file", fh.read()
+    specs = parse_json(text, where)
     code = CyclicCode(args.n, parse_poly_product(args.generator))
     validate_constructions(specs, code.length, where)
     expected = None if args.expect is None else parse_order(args.expect, "--expect")

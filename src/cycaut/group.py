@@ -53,19 +53,16 @@ s, and sends each to u_p^-1(s(x)).  For a sparse s, one that moves few
 points, these pairs are read off u_p^-1 at the moved points of s and at
 their images, and they decide exactly whether sigma is a stored
 generator: such a generator moves as many points as s, so it is sparse
-too, and the chain keeps every sparse stored generator in a dict keyed
-by its smallest moved point and that point's image, with the number of
-points it moves.  A candidate under sigma's key that moves as many
-points and agrees with sigma at sigma's moved points is sigma.  Only
-when none does is sigma written out, into a copy of the identity at its
-moved points, and sifted; it is not the identity, being a conjugate of
-s.  Each level keeps, beside its generators, two itemgetters per sparse
-one, over its moved points and over their images, and the number it
-moves.  Looking sigma up in `stored` instead would cost a tuple of n
-points and its hash per pair, and on the n = 186 block-rows group 14,445
-of the 14,807 such pairs are stored generators: the build takes about 80
-ms that way and 70 ms with the dict (medians of 84 builds, CPython 3.11,
-2 shared vCPUs).
+too, and the chain keeps the set of (point, image) pairs of every sparse
+stored generator, as a frozenset over the points it moves.  sigma is a
+stored generator iff its pair set is in that set.  Only when it is not
+is sigma written out, into a copy of the identity at its moved points,
+and sifted; it is not the identity, being a conjugate of s.  Each level
+keeps, beside its generators, two itemgetters per sparse one, over its
+moved points and over their images.  Looking sigma up in `stored`
+instead would cost a tuple of n points and its hash per pair, and on the
+n = 186 block-rows group 14,445 of the 14,807 such pairs are stored
+generators.
 
 Sparse means that at most a quarter of the points move.  The look-up
 costs time in proportion to the m points s moves; writing sigma out
@@ -79,12 +76,8 @@ elements move at least 2^(r-1) of them; the per-column generators of the
 block rows, k of n = 31k points, are sparse.
 
 A pass over a level's pairs returns as soon as it finds a residue, and
-the level is passed over again once the deeper levels have taken the
-residue in; the generators it had finished by then are still paired with
-the whole orbit unless the orbit grew.  Each level records how far a
-pass got (`_Level.settled`), and the next pass starts there when the
-orbit has the same length.  On the n = 186 group this skips 118,749
-look-ups of finished generators in 5,023 passes.
+the level is passed over again, from its first generator, once the
+deeper levels have taken the residue in.
 
 `sample` multiplies one drawn transversal per level into acc, and acc *
 u differs from acc only at the points u moves, which all lie in the mask
@@ -165,17 +158,16 @@ def _sparse_moves(a: tuple[int, ...], identity: tuple[int, ...]) -> tuple[int, .
 class _Level:
     __slots__ = (
         "base", "gens", "gen_moves", "orbit", "orbit_order", "pending", "scanned", "paired",
-        "settled", "transversal_moves",
+        "transversal_moves",
     )
 
     def __init__(self, base: int, identity: tuple[int, ...]):
         self.base = base
         # (g, g^-1, `_support` of g)
         self.gens: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
-        # per gen: itemgetters of its moved points and of their images, and
-        # how many points it moves, or None when it is not sparse (see
-        # `_sparse_moves`)
-        self.gen_moves: list[tuple[itemgetter, itemgetter, int] | None] = []
+        # per gen: itemgetters of its moved points and of their images, or
+        # None when it is not sparse (see `_sparse_moves`)
+        self.gen_moves: list[tuple[itemgetter, itemgetter] | None] = []
         # point -> (u, u^-1, mask), u(base) = point; the mask is the union
         # of the supports of the generators u is a product of, so it holds
         # every point u moves
@@ -184,9 +176,6 @@ class _Level:
         self.pending = [base]
         self.scanned = 0  # gens already applied to every settled orbit point
         self.paired: list[int] = []  # per gen: orbit_order prefix already sifted
-        # (length L of orbit_order, count c): the first c gens are paired
-        # with the first L orbit points, so a pass may start at gen c
-        self.settled = (0, 0)
         # orbit point p -> (the points of the mask of u_p, an itemgetter of
         # their images), for the sparse masks `sample` has drawn
         self.transversal_moves: dict[int, tuple[tuple[int, ...], itemgetter]] = {}
@@ -198,9 +187,8 @@ class _Chain:
         self.identity = tuple(range(degree))
         self.levels: list[_Level] = []
         self.stored: set[tuple[int, ...]] = set()  # every generator of every level
-        # the sparse ones, keyed by (smallest moved point, its image), each
-        # with the number of points it moves
-        self.sparse_stored: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
+        # the sparse ones, each as the frozenset of its (moved point, image) pairs
+        self.sparse_stored: set[frozenset[tuple[int, int]]] = set()
         self.sifted = 0  # Schreier generators sifted so far
 
     def extend(self, gens) -> None:
@@ -281,8 +269,8 @@ class _Chain:
         if moved is not None:
             at = itemgetter(*moved)
             images = at(g)
-            moves = (at, itemgetter(*images), len(moved))
-            self.sparse_stored.setdefault((moved[0], images[0]), []).append((len(moved), g))
+            moves = (at, itemgetter(*images))
+            self.sparse_stored.add(frozenset(zip(moved, images)))
         for j in range(first, stuck + 1):
             lvl = self.levels[j]
             lvl.gens.append(gen)
@@ -334,8 +322,7 @@ class _Chain:
         paired = lvl.paired
         gens = lvl.gens
         end = len(order)
-        settled_end, first = lvl.settled
-        for gi in range(first if settled_end == end else 0, len(gens)):
+        for gi in range(len(gens)):
             s, _, s_support = gens[gi]
             start = paired[gi]
             if start == end:
@@ -351,12 +338,9 @@ class _Chain:
                 if sp == p and moves is not None:
                     # sigma = u_p^-1 s u_p moves the points u_p^-1(x) for x
                     # moved by s, and sends each to u_p^-1(s(x))
-                    at, to, m = moves
+                    at, to = moves
                     points, images = at(upinv), to(upinv)
-                    if any(
-                        mt == m and itemgetter(*points)(t) == images
-                        for mt, t in sparse_stored.get(min(zip(points, images)), ())
-                    ):
+                    if frozenset(zip(points, images)) in sparse_stored:
                         continue  # sigma is a stored generator
                     sig = list(identity)
                     for x, y in zip(points, images):
@@ -371,9 +355,7 @@ class _Chain:
                 if residue == identity:
                     continue
                 paired[gi] = k + 1
-                lvl.settled = (end, gi)
                 return self._ingest(residue, i + 1, stuck)
-        lvl.settled = (end, len(gens))
         return None
 
 

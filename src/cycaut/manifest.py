@@ -7,8 +7,9 @@ Entry fields:
   generator       polynomial text, plain or product form "(f1)(f2)^k..."
   expected_order  positive decimal string (orders routinely exceed 64 bits)
   expected_order_factors
-                  optional [[base, exp], ...]; their product must equal
-                  expected_order (arithmetic identity of the claim)
+                  optional [[base, exp], ...], each integer at least 1;
+                  their product must equal expected_order (arithmetic
+                  identity of the claim)
   method          "brute" | "construct"
   construction    list of construction records (construct only)
   sampling        optional {"trials": int, "seed": int}, both required
@@ -39,16 +40,18 @@ SOURCE describes the generators of an inner group on a shorter code:
   {"source": "construct", "n": N, "generator": g, "specs": [...]}   recursive
   {"source": "perms", "degree": N, "cycles": [...]}        explicit list
 
-`load_manifest` checks the whole record tree before anything runs: an
-unknown field, construction kind or inner source, a missing field, a
+`load_manifest` checks the whole record tree before anything runs: a
+JSON object that gives a key twice, an unknown field, construction kind
+or inner source, a missing field, a
 construction list on a method that takes none, a name, method,
 generator, expected_order, kind or source that is not a string, an
 expected_order that is not a positive ASCII decimal, factors whose
 product is not the expected_order, an integer field
-(n, k, rows, a, at, degree, trials, seed, the factor pairs) that is not
-a JSON integer or is out of range, or a brute-force length beyond
-BRUTE_FORCE_MAX_N (of an entry or an inner source alike) rejects the
-file, naming the entry and the field.  So does
+(n, k, rows, a, at, degree, trials, seed, the factor bases and
+exponents) that is not a JSON integer or is out of range, or a
+brute-force length beyond BRUTE_FORCE_MAX_N (of an entry or an inner
+source alike) rejects the file, naming the entry (by its index, and its
+name when it has one) and the field.  So does
 a value that does not fit the length of its record: a K or R that does
 not divide it, a block_rows K below 2, an odd length for pair_swap or
 interleaved_lift, an interleaved row other than 1 or 2, an "at" row
@@ -97,9 +100,24 @@ def extended_manifest_path() -> str:
     return str(files("cycaut").joinpath("manifests/extended.json"))
 
 
+def parse_json(text: str, where: str):
+    """The value of a JSON text, refusing an object that gives a key twice,
+    which `json` would read as its last value alone."""
+
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{where}: duplicate JSON object key {key!r}")
+            obj[key] = value
+        return obj
+
+    return json.loads(text, object_pairs_hook=unique)
+
+
 def load_manifest(path: str) -> list[dict]:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = parse_json(fh.read(), f"manifest {path}")
     if not isinstance(data, list):
         raise ValueError("manifest must be a JSON list of entries")
     names = set()
@@ -149,12 +167,15 @@ _INTEGER_LISTS = {("interleaved_lift", "rows"), ("residue_lift", "at")}
 
 
 def _validate_entry(entry: dict, idx: int) -> None:
+    where = f"manifest entry [{idx}]"
     if not isinstance(entry, dict):
-        raise ValueError(f"manifest entry must be an object: {entry!r}")
+        raise ValueError(f"{where} must be an object: {entry!r}")
+    _check_string(entry, "name", where)
+    if "name" in entry:
+        where += f" {entry['name']!r}"
     for key in ("name", "n", "generator", "expected_order", "method"):
         if key not in entry:
-            raise ValueError(f"manifest entry missing field {key!r}")
-    _check_string(entry, "name", f"manifest entry [{idx}]")
+            raise ValueError(f"{where}: missing field {key!r}")
     where = f"entry {entry['name']!r}"
     method = entry["method"]
     _check_fields(entry, where, (), _ENTRY_FIELDS)
@@ -173,7 +194,7 @@ def _validate_entry(entry: dict, idx: int) -> None:
         named = f"{where}: field 'expected_order_factors'[{idx}]"
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValueError(f"{named} must be a [base, exponent] pair: {pair!r}")
-        _check_integer(pair[0], f"{named}[0]", None)
+        _check_integer(pair[0], f"{named}[0]", 1)
         _check_integer(pair[1], f"{named}[1]", 1)
     if factors:
         claimed = math.prod(b**e for b, e in factors)

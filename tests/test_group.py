@@ -240,16 +240,21 @@ class TestBasePairSkip:
         # The n = 186 block-rows group of the chain-membership benchmark
         # has 42,266 Schreier pairs; without the skips 33,868 of them are
         # sifted, with them 639.
-        entry = json.loads(json.dumps(load_manifest(extended_manifest_path())[0]))
-        entry["n"] = 186
-        for spec in entry["construction"]:
-            spec["k"] = 6
-        code = _code_for(entry["n"], entry["generator"])
-        gens = [p for _, p in expand_constructions(code, entry["construction"], {})]
-        grp = PermGroup(gens, degree=186)
+        grp = PermGroup(_block_rows_186(), degree=186)
         assert grp.order() == 310 * math.factorial(6) ** 31
         assert grp._chain.sifted == 639
         assert len(grp._chain.stored) == 197
+
+
+def _block_rows_186():
+    """The generators of the n = 186 block-rows group of the
+    chain-membership benchmark: the extended len961 claim with 6 rows."""
+    entry = json.loads(json.dumps(load_manifest(extended_manifest_path())[0]))
+    entry["n"] = 186
+    for spec in entry["construction"]:
+        spec["k"] = 6
+    code = _code_for(entry["n"], entry["generator"])
+    return [p for _, p in expand_constructions(code, entry["construction"], {})]
 
 
 @st.composite
@@ -327,6 +332,27 @@ class TestSparsePath:
         assert [p.images for p in shipped["random"]] == [
             _dense_product(chain, seed) for seed in range(5)
         ]
+
+    @staticmethod
+    def _assert_sparse_stored_registered(chain):
+        # A generator `_ingest` left out of the set leaves the chain
+        # correct, only slower, so the set is pinned on its own.
+        assert chain.sparse_stored == {
+            frozenset((x, g[x]) for x in range(chain.degree) if g[x] != x)
+            for g in chain.stored
+            if group_module._sparse_moves(g, chain.identity) is not None
+        }
+
+    def test_sparse_stored_on_the_block_rows_chain(self):
+        chain = PermGroup(_block_rows_186(), degree=186)._chain
+        assert len(chain.sparse_stored) > 100
+        self._assert_sparse_stored_registered(chain)
+
+    @given(_sparse_and_dense_generators())
+    @settings(max_examples=30, deadline=None)
+    def test_sparse_stored_holds_every_sparse_stored_generator(self, case):
+        degree, gens = case
+        self._assert_sparse_stored_registered(PermGroup(gens, degree=degree)._chain)
 
     def test_sparse_rule(self):
         identity = tuple(range(8))

@@ -196,6 +196,20 @@ class TestAutConstructCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: Expecting value")
 
+    def test_duplicate_spec_keys_are_refused(self, tmp_path, capsys):
+        # json keeps the last value of a key given twice
+        spec = '[{"kind": "pair_swap", "kind": "shift"}]'
+        code, out, err = run_cli(capsys, "aut-construct", "14", "(x^3+x+1)^2", "--spec", spec)
+        assert (code, out) == (2, "")
+        assert err == "error: --spec: duplicate JSON object key 'kind'\n"
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        code, out, err = run_cli(
+            capsys, "aut-construct", "14", "(x^3+x+1)^2", "--spec-file", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --spec-file: duplicate JSON object key 'kind'\n"
+
     def test_spec_typo_rejected(self, capsys):
         spec = self.SPEC.replace('"rows"', '"row"')
         code, _, err = run_cli(capsys, "aut-construct", "14", "(x^3+x+1)^2", "--spec", spec)
@@ -529,6 +543,65 @@ class TestManifestSchema:
 
         with pytest.raises(ValueError, match="entry 'typo': sampling: unknown field 'sed'"):
             self._load_one(tmp_path, change=sampling_typo)
+
+    LEN7 = {"name": "len7", "n": 7, "generator": "x^3+x+1",
+            "expected_order": "168", "method": "brute"}
+
+    def test_rejects_duplicate_object_keys(self, tmp_path, capsys):
+        # json keeps the last of two values of a key, so this loaded as 168
+        # and passed
+        path = tmp_path / "dup.json"
+        path.write_text(
+            '[{"name": "len7", "n": 7, "generator": "x^3+x+1", '
+            '"expected_order": "999", "expected_order": "168", "method": "brute"}]'
+        )
+        message = f"manifest {path}: duplicate JSON object key 'expected_order'"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_manifest(str(path))
+        assert run_cli(capsys, "--json", "verify-table", str(path)) == (2, "", f"error: {message}\n")
+
+    def test_rejects_duplicate_keys_in_a_nested_record(self, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text(
+            '[{"name": "e", "n": 98, "generator": "x^3+x+1", "expected_order": "1", '
+            '"method": "construct", "construction": [{"kind": "block_rows", "k": 14, "k": 7}]}]'
+        )
+        with pytest.raises(ValueError, match="duplicate JSON object key 'k'"):
+            load_manifest(str(path))
+
+    @pytest.mark.parametrize(
+        ("second", "message"),
+        [
+            ({"name": "no-n", "generator": "x^3+x+1", "expected_order": "168", "method": "brute"},
+             "manifest entry [1] 'no-n': missing field 'n'"),
+            ({"n": 7, "generator": "x^3+x+1", "expected_order": "168", "method": "brute"},
+             "manifest entry [1]: missing field 'name'"),
+            ({"name": 7, "n": 7}, "manifest entry [1]: field 'name' must be a string: 7"),
+            ([7], "manifest entry [1] must be an object: [7]"),
+        ],
+        ids=["missing-n", "missing-name", "name-not-a-string", "not-an-object"],
+    )
+    def test_names_a_malformed_entry(self, tmp_path, capsys, second, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([self.LEN7, second]))
+        with pytest.raises(ValueError) as exc:
+            load_manifest(str(path))
+        assert str(exc.value) == message
+        assert run_cli(capsys, "verify-table", str(path)) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        ("factors", "message"),
+        [
+            ([[-168, 1], [-1, 1]], r"\[0\]\[0\] must be at least 1: -168"),
+            ([[168, 1], [0, 5]], r"\[1\]\[0\] must be at least 1: 0"),
+        ],
+    )
+    def test_rejects_factor_bases_below_1(self, tmp_path, factors, message):
+        # (-168) * (-1) = 168, which the product check alone accepts
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([dict(self.LEN7, expected_order_factors=factors)]))
+        with pytest.raises(ValueError, match=r"entry 'len7': field 'expected_order_factors'" + message):
+            load_manifest(str(path))
 
     def test_expand_source_perms(self):
         gens = expand_source({"source": "perms", "degree": 5, "cycles": ["(1,2)", "(1,2,3,4,5)"]})
