@@ -31,7 +31,7 @@ from math import gcd as int_gcd
 
 from .code import CyclicCode
 from .perm import Permutation
-from .verify import is_automorphism
+from .verify import _automorphism_test
 
 
 def shift(n: int) -> Permutation:
@@ -117,10 +117,11 @@ def multiplier_subgroup(code: CyclicCode) -> list[int]:
     """All units a mod n whose multiplier permutation preserves the code.
     The result is multiplicatively closed and contains 1; for odd n it
     contains 2 (squaring).  Exhaustive over the units 1..n (a = n is a
-    unit only for n = 1, where 1 = n is the one residue)."""
+    unit only for n = 1, where 1 = n is the one residue).  A multiplier
+    other than 1 moves most points, so each takes the row test of the
+    automorphism kernel directly."""
     n = code.length
+    maps_into = _automorphism_test(n, code.generator.bits)[0]
     return [
-        a
-        for a in range(1, n + 1)
-        if int_gcd(a, n) == 1 and is_automorphism(code, multiplier(a, n))
+        a for a in range(1, n + 1) if int_gcd(a, n) == 1 and maps_into(multiplier(a, n).images)
     ]

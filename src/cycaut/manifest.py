@@ -100,6 +100,10 @@ def extended_manifest_path() -> str:
     return str(files("cycaut").joinpath("manifests/extended.json"))
 
 
+def long_manifest_path() -> str:
+    return str(files("cycaut").joinpath("manifests/long.json"))
+
+
 def parse_json(text: str, where: str):
     """The value of a JSON text, refusing an object that gives a key twice,
     which `json` would read as its last value alone."""

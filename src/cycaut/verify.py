@@ -24,8 +24,23 @@ equivalent `sum` over lane-packed ones.  The rows are tested one at a
 time and the first non-zero syndrome rejects: a random permutation
 almost always fails on the first row, so looking up the syndromes of all
 n image points first costs more than it saves (brute force over S_7 for
-the eight length-7 codes ran 10-40% slower that way).  `is_automorphism`
-and the brute-force enumerator share this one kernel.
+the eight length-7 codes ran 10-40% slower that way).
+
+Most constructed generators move few points: a per-column generator of
+the block rows moves k of the n = ck points.  A permutation p fixes
+every other point, so for every row r, p(r) + r is the sum of e_x +
+e_p(x) over the points x of r that p moves, and the syndrome of p(r) is
+the XOR of s_x ^ s_p(x) over them (r itself has syndrome 0).  The kernel
+also lists, per point, the rows that hold it, built row by row in
+O(dim D * |supp g_D|), like the itemgetters; the moved-points test then
+adds each moved point's s_x ^ s_p(x) into the syndromes of its rows, and
+p passes iff they all end at 0, at a cost in proportion to the points p
+moves.  `is_automorphism` counts the moved points in C and takes this
+path when they are at most a quarter of the points, the sparsity rule of
+the stabilizer chain (`group._is_sparse`); callers that test dense
+permutations in bulk (brute force, negative sampling and the multiplier
+scan) call the row test directly.  Both tests read the same tables, so
+every automorphism test runs one kernel.
 
 Brute force filters the image tuples of `itertools.permutations` through
 the kernel and streams the survivors into `group.count_and_sift`, one
@@ -44,13 +59,13 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter, xor
+from operator import itemgetter, ne, xor
 from random import Random
 from time import perf_counter
 
 from .code import CyclicCode
 from .gf2poly import _divmod_bits
-from .group import count_and_sift, exact_order
+from .group import _is_sparse, count_and_sift, exact_order
 from .perm import Permutation
 
 # The longest code that brute force enumerates S_n for, wherever it is
@@ -63,12 +78,18 @@ def is_automorphism(code: CyclicCode, p: Permutation) -> bool:
 
     Tested on the smaller of the code and its dual, which have the same
     automorphisms: the image of each of its min(k, n - k) basis rows must
-    have syndrome 0, and the rows are tried one at a time, so most
-    non-automorphisms are rejected by the first (see the module
+    have syndrome 0.  A p that moves at most a quarter of the points is
+    tested by the points it moves, any other one row by row, so most
+    non-automorphisms are rejected by the first row (see the module
     docstring)."""
     if p.degree != code.length:
         raise ValueError("permutation degree does not match code length")
-    return _automorphism_test(code.length, code.generator.bits)(p.images)
+    maps_into, moved_maps_into = _automorphism_test(code.length, code.generator.bits)
+    images = p.images
+    points = range(len(images))
+    if _is_sparse(sum(map(ne, images, points)), len(images)):
+        return moved_maps_into(images, itertools.compress(points, map(ne, images, points)))
+    return maps_into(images)
 
 
 # Lane-packed syndromes of at most this many bits keep `sum` on its
@@ -79,8 +100,9 @@ _WORD_BITS = 62
 # Bounded, so that a sweep over many codes keeps only the latest tables.
 @functools.lru_cache(maxsize=64)
 def _automorphism_test(n: int, g: int):
-    """The predicate images -> bool deciding whether the permutation with
-    these images maps the length-n cyclic code <g> into itself.
+    """The row test and the moved-points test of whether a permutation
+    maps the length-n cyclic code <g> into itself: predicates on its
+    images, and on its images and the points it moves.
 
     D is the code if k = dim <g> <= n - k, else the dual code, generated
     by the reciprocal of h = (x^n+1)/g.  syndromes[i] = x^i mod g_D, and
@@ -88,7 +110,8 @@ def _automorphism_test(n: int, g: int):
     When dim D >= 1, g_D has degree n - dim D >= 1 and constant term 1, so
     every support has at least two points and each itemgetter returns a
     tuple.  When dim D = 0 (g = 1 or g = x^n+1) there are no rows and
-    every permutation passes.
+    every permutation passes.  holding[x] lists the rows j whose support
+    holds x, that is, x - j is in the support of g_D.
 
     A row's syndrome is the XOR of its points' syndromes.  When the
     syndromes are short (every code of length <= 15, among others), each
@@ -114,6 +137,10 @@ def _automorphism_test(n: int, g: int):
             s ^= gd
     support = [i for i in range(deg + 1) if gd >> i & 1]
     rows = [itemgetter(*[i + j for i in support]) for j in range(rank)]
+    holding: list[list[int]] = [[] for _ in range(n)]
+    for j in range(rank):
+        for i in support:
+            holding[i + j].append(j)
     width = len(support).bit_length()
     if deg * width <= _WORD_BITS:
         lanes = [1 << (b * width) for b in range(deg)]
@@ -129,7 +156,16 @@ def _automorphism_test(n: int, g: int):
                 return False
         return True
 
-    return maps_into
+    def moved_maps_into(images, points) -> bool:
+        # the syndrome of p(r_j) is the XOR of s_x ^ s_p(x) over the moved x in r_j
+        acc = [0] * rank
+        for x in points:
+            d = syndromes[x] ^ syndromes[images[x]]
+            for j in holding[x]:
+                acc[j] ^= d
+        return not any(acc)
+
+    return maps_into, moved_maps_into
 
 
 def brute_force_aut(code: CyclicCode) -> list[Permutation]:
@@ -177,7 +213,7 @@ def _automorphism_images(code: CyclicCode):
             f"length {n} exceeds brute-force cutoff {BRUTE_FORCE_MAX_N}; "
             "use a constructive verification instead"
         )
-    return filter(_automorphism_test(n, code.generator.bits), itertools.permutations(range(n)))
+    return filter(_automorphism_test(n, code.generator.bits)[0], itertools.permutations(range(n)))
 
 
 def sample_outside(code: CyclicCode, generators, order: int, trials: int, seed: int) -> int:
@@ -188,18 +224,22 @@ def sample_outside(code: CyclicCode, generators, order: int, trials: int, seed: 
 
     The automorphism test runs first: it rejects almost every draw on its
     first row, and only automorphisms need `exact_order` of G and the
-    draw.  The count does not depend on the order of the two tests."""
+    draw, and are wrapped as permutations.  The count does not depend on
+    the order of the two tests.  The draws are dense, so they take the
+    row test directly."""
     if any(g.degree != code.length for g in generators):
         raise ValueError("generator degree does not match code length")
     rng = Random(seed)
     n = code.length
+    maps_into = _automorphism_test(n, code.generator.bits)[0]
     escapes = 0
     for _ in range(trials):
         images = list(range(n))
         rng.shuffle(images)
-        p = Permutation._trusted(tuple(images))
-        if is_automorphism(code, p) and exact_order([*generators, p], n)[0] != order:
-            escapes += 1
+        if maps_into(images):
+            p = Permutation._trusted(tuple(images))
+            if exact_order([*generators, p], n)[0] != order:
+                escapes += 1
     return escapes
 
 

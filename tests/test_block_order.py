@@ -6,7 +6,14 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import cycaut.group as group_module
-from cycaut.group import PermGroup, _generates_symmetric, block_order, exact_order
+from cycaut.group import (
+    PermGroup,
+    _generates_symmetric,
+    _orbit,
+    _residue_block_order,
+    block_order,
+    exact_order,
+)
 from cycaut.manifest import (
     _code_for,
     default_manifest_path,
@@ -135,6 +142,105 @@ class TestRandomWreathProducts:
         assert exact_order(gens, n)[0] == chain
 
 
+def _class_images(g, c):
+    """Reference: the class mod c onto which g maps each class mod c, or
+    None when g splits a class, found point by point."""
+    out = []
+    for x in range(c):
+        t = g[x] % c
+        for y in g[x::c]:
+            if y % c != t:
+                return None
+        out.append(t)
+    return tuple(out)
+
+
+def _reference_residue_block_order(gens, n, c):
+    """Reference: the residue-class order path with the classes checked
+    and the class-local generators found point by point, and every top
+    kept."""
+    k = n // c
+    identity = tuple(range(n))
+    fixed = tuple(range(c))
+    tops = []
+    local = [[] for _ in range(c)]
+    for g in gens:
+        top = _class_images(g, c)
+        if top is None:
+            return None
+        tops.append(top)
+        if top == fixed:
+            moved = [j for j in range(c) if g[j::c] != identity[j::c]]
+            if len(moved) == 1:
+                j = moved[0]
+                local[j].append(tuple(y // c for y in g[j::c]))
+    full = {j for j, restricted in enumerate(local) if restricted and _generates_symmetric(tuple(restricted), k)}
+    if len(_orbit(full, lambda j: [top[j] for top in tops])) < c:
+        return None
+    top_order = PermGroup([Permutation(t) for t in tops], degree=c).order()
+    details = {"path": "blocks", "classes": c, "block_size": k, "top_order": str(top_order)}
+    return top_order * math.factorial(k) ** c, details
+
+
+def _spoiled(images, c, rng_pick):
+    """images with the images of two points of row 2 in different classes
+    swapped: for k >= 3 and c >= 2 it keeps the classes of rows 0 and 1
+    and splits those of row 2."""
+    images = list(images)
+    j1, j2 = rng_pick
+    x, y = j1 + 2 * c, j2 + 2 * c
+    images[x], images[y] = images[y], images[x]
+    return tuple(images)
+
+
+class TestResidueVectors:
+    """`_residue_block_order` finds classes by list operations and drops
+    duplicate tops; it must give what the point-by-point reference gives."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_point_by_point_reference(self, data):
+        k = data.draw(st.integers(min_value=2, max_value=5), label="k")
+        c = data.draw(st.integers(min_value=2, max_value=5), label="c")
+        n = k * c
+        gens = []
+        for j in sorted(data.draw(st.sets(st.integers(0, c - 1)), label="full")):
+            gens += [p.images for p in _symmetric_gens(c, j, k)]
+        for _ in range(data.draw(st.integers(0, 2), label="tops")):
+            sigma = data.draw(st.permutations(range(c)))
+            pi = data.draw(st.permutations(range(k)))
+            top = _top(sigma, pi, c, k).images
+            gens += [top] * data.draw(st.integers(1, 2), label="copies")
+        if k >= 3 and gens and data.draw(st.booleans(), label="spoil"):
+            pair = data.draw(st.permutations(range(c)), label="classes")[:2]
+            gens.append(_spoiled(data.draw(st.sampled_from(gens)), c, pair))
+        if data.draw(st.booleans(), label="random"):
+            gens.append(tuple(data.draw(st.permutations(range(n)), label="perm")))
+        gens = data.draw(st.permutations(gens)) or [tuple(range(n))]
+        want = _reference_residue_block_order(gens, n, c)
+        event("order" if want is not None else "declined")
+        assert _residue_block_order(gens, n, c) == want
+
+    def test_a_class_split_below_the_second_row_declines(self):
+        # full Sym on all three classes of 4 points, and the transposition
+        # of points 6 and 7, which keeps the classes of rows 0 and 1 only
+        c, k = 3, 4
+        gens = [p.images for j in range(c) for p in _symmetric_gens(c, j, k)]
+        assert _residue_block_order(gens, c * k, c)[0] == math.factorial(k) ** c
+        swap = _spoiled(tuple(range(c * k)), c, (0, 1))
+        assert swap == (0, 1, 2, 3, 4, 5, 7, 6, 8, 9, 10, 11)
+        assert _class_images(swap, c) is None
+        assert _residue_block_order([*gens, swap], c * k, c) is None
+
+    def test_duplicate_tops_give_the_same_order(self):
+        c, k = 3, 2
+        gens = [p.images for j in range(c) for p in _symmetric_gens(c, j, k)]
+        top = _top([1, 2, 0], [0, 1], c, k).images
+        once = _residue_block_order([*gens, top], c * k, c)
+        assert once[0] == 3 * 2**3
+        assert _residue_block_order([top, *gens, top, top], c * k, c) == once
+
+
 class TestGeneratesSymmetric:
     """`_generates_symmetric` refuses Sym(k) to even generators, decides
     it from the graph of the conjugates of a transposition when one
@@ -190,6 +296,49 @@ class TestGeneratesSymmetric:
         chain = PermGroup([Permutation(g) for g in perms], degree=k).order()
         event(f"symmetric={chain == math.factorial(k)}")
         assert _generates_symmetric(tuple(perms), k) == (chain == math.factorial(k))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_union_find_agrees_with_the_chain_up_to_9(self, data):
+        # a transposition among random generators, or, when k has a
+        # proper divisor m, a transposition inside a block of a system of
+        # blocks of m points and generators that keep the system
+        k = data.draw(st.integers(min_value=2, max_value=9), label="k")
+        sizes = [m for m in range(2, k) if k % m == 0]
+        perms = []
+        if sizes and data.draw(st.booleans(), label="imprimitive"):
+            m = data.draw(st.sampled_from(sizes), label="m")
+            blocks = k // m
+            if data.draw(st.booleans(), label="block shift"):
+                perms.append(tuple((x + m) % k for x in range(k)))
+            for _ in range(data.draw(st.integers(0, 2), label="gens")):
+                sigma = data.draw(st.permutations(range(blocks)), label="sigma")
+                inside = [data.draw(st.permutations(range(m)), label="inside") for _ in range(blocks)]
+                perms.append(tuple(sigma[x // m] * m + inside[x // m][x % m] for x in range(k)))
+            b = data.draw(st.integers(0, blocks - 1), label="block")
+            a1, a2 = data.draw(st.permutations(range(m)), label="pair")[:2]
+            a, b = b * m + a1, b * m + a2
+            event("imprimitive")
+        else:
+            perm = st.permutations(range(k)).map(tuple)
+            perms += data.draw(st.lists(perm, min_size=0, max_size=3), label="perms")
+            a, b = data.draw(st.permutations(range(k)), label="pair")[:2]
+        t = list(range(k))
+        t[a], t[b] = b, a
+        perms.insert(data.draw(st.integers(0, len(perms)), label="at"), tuple(t))
+        chain = PermGroup([Permutation(g) for g in perms], degree=k).order()
+        event(f"symmetric={chain == math.factorial(k)}")
+        assert _generates_symmetric(tuple(perms), k) == (chain == math.factorial(k))
+
+    def test_union_find_at_degree_961(self, monkeypatch):
+        # the class-local generators of the n = 29791 claim: a 961-cycle
+        # and a transposition; and the imprimitive <(0,1), x -> x + 31>
+        self._no_chain(monkeypatch)
+        k = 961
+        cycle = tuple((x + 1) % k for x in range(k))
+        swap = (1, 0, *range(2, k))
+        assert _generates_symmetric((cycle, swap), k)
+        assert not _generates_symmetric((swap, tuple((x + 31) % k for x in range(k))), k)
 
 
 class TestDeclines:

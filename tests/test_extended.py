@@ -1,11 +1,13 @@
-"""The extended manifest (lengths 961 and 1922), with runtime budgets.
+"""The extended manifest (lengths 961 and 1922) and the long one
+(lengths 3844 and 29791), with runtime budgets.
 
-Both claims are block-rows constructions, so their orders come from the
-residue-class block system (31 classes of 31 or 62 points) with a
-degree-31 chain, not from a chain on 961 or 1922 points; together they
-take under a second.  The len961 claim scaled to k = 124 blocks of rows
+All four claims are block-rows constructions, so their orders come from
+the residue-class block system (31 classes of 31k points) with a
+degree-31 chain, not from a chain on all n points; the extended pair
+takes under a second.  The len961 claim scaled to k = 124 blocks of rows
 (n = 3844) has a claim of 6,426 digits, past CPython's default limit on
-integer string conversion.  Run alone with:
+integer string conversion, and scaled to k = 961 (n = 29791 = 31^3) one
+of 75,982 digits.  Run alone with:
 
     python -m pytest tests/test_extended.py -v -s
 """
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from cycaut.manifest import extended_manifest_path, load_manifest, run_entry
+from cycaut.manifest import extended_manifest_path, load_manifest, long_manifest_path, run_entry
 
 ROOT = Path(__file__).resolve().parent.parent
 # CPython 3.10.0-3.10.6 have no limit on integer string conversion.
@@ -29,7 +31,7 @@ HAS_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
 
 @pytest.mark.parametrize(
-    ("index", "budget_s"), [(0, 1.0), (1, 1.0)], ids=["len961", "len1922"]
+    ("index", "budget_s"), [(0, 0.5), (1, 0.5)], ids=["len961", "len1922"]
 )
 def test_extended_entry(index, budget_s):
     entry = load_manifest(extended_manifest_path())[index]
@@ -90,7 +92,30 @@ def test_claim_beyond_the_digit_limit_passes(tmp_path):
     record = json.loads(result.stdout)
     assert record["pass"] is True
     assert record["computed_order"] == record["expected_order"] == entry["expected_order"]
-    assert elapsed < 5.0, f"n = 3844 took {elapsed:.1f}s, budget 5.0s"
+    assert elapsed < 2.5, f"n = 3844 took {elapsed:.1f}s, budget 2.5s"
+
+
+def test_long_manifest_passes():
+    # both claims, n = 3844 and n = 29791, as one verify-table run
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    t0 = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "cycaut", "--json", "verify-table", long_manifest_path()],
+        env=env, capture_output=True, text=True,
+    )
+    elapsed = time.perf_counter() - t0
+    assert result.returncode == 0, result.stderr
+    records = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [(r["name"], r["n"], r["pass"]) for r in records] == [
+        ("len3844-two-quintics", 3844, True),
+        ("len29791-two-quintics", 29791, True),
+    ]
+    with _digit_limit(0):
+        for record, k in zip(records, (124, 961)):
+            claim = str(310 * math.factorial(k) ** 31)
+            assert record["computed_order"] == record["expected_order"] == claim
+    assert elapsed < 20.0, f"the long manifest took {elapsed:.1f}s, budget 20.0s"
 
 
 @pytest.mark.skipif(not HAS_LIMIT, reason="no limit on integer string conversion")

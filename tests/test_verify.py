@@ -3,10 +3,17 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycaut.code import Codeword, CyclicCode, apply_to_word
 from cycaut.construct import multiplier, pair_swap, shift
-from cycaut.gf2poly import Gf2Poly, divisors_of_xn_minus_1, parse_poly, parse_poly_product
+from cycaut.gf2poly import (
+    Gf2Poly,
+    divisors_of_xn_minus_1,
+    parse_poly,
+    parse_poly_product,
+    x_pow_n_minus_1,
+)
 import cycaut.manifest as manifest_module
 import cycaut.verify as verify_module
 from cycaut.group import PermGroup, filter_generators
@@ -134,6 +141,138 @@ class TestSyndromeKernel:
         assert len(brute_force_aut(CyclicCode(2, Gf2Poly(3)))) == 2
 
 
+def _period(g, n):
+    """The least e >= 1 with g | x^e + 1; it divides n."""
+    return next(e for e in range(1, n + 1) if n % e == 0 and not x_pow_n_minus_1(e) % g)
+
+
+def _sparse_case(code, rng):
+    """A seeded permutation that moves 2 to max(2, n // 4) points: half of
+    them within one residue class mod the period e of the code or of its
+    dual, which keeps the columns x^i mod g (or mod the dual's generator)
+    and so is an automorphism; the others anywhere, mostly not one."""
+    n = code.length
+    images = list(range(n))
+    periods = sorted({_period(code.generator, n), _period(_dual(code).generator, n)} - {n})
+    if periods and rng.random() < 0.5:
+        e = rng.choice(periods)
+        pool = range(rng.randrange(e), n, e)
+    else:
+        pool = range(n)
+    points = rng.sample(pool, min(len(pool), rng.randint(2, max(2, n // 4))))
+    if len(points) >= 2:
+        targets = rng.sample(points, len(points))
+        for x, y in zip(points, targets):
+            images[x] = y
+    return tuple(images)
+
+
+def _agree(code, images):
+    """The moved-points test of the kernel on images, after checking that
+    it agrees with the row test and with the reference on the code and
+    on its dual."""
+    n = code.length
+    rows_test, moved_test = verify_module._automorphism_test(n, code.generator.bits)
+    moved = [x for x in range(n) if images[x] != x]
+    got = moved_test(images, moved)
+    assert got == rows_test(images), (n, str(code.generator), images)
+    assert got == _maps_rows_into_code(code, Permutation(images)), (n, str(code.generator), images)
+    dual = _dual(code)
+    dual_rows, dual_moved = verify_module._automorphism_test(n, dual.generator.bits)
+    assert dual_moved(images, moved) == dual_rows(images) == got
+    return got
+
+
+class TestMovedPointsTest:
+    """The moved-points test of `_automorphism_test` must agree with its
+    row test, and with the reference, on sparse permutations, both
+    automorphisms and not, for every code of the lengths below (which
+    include g = 1 and g = x^n+1) and its dual; `is_automorphism` takes it
+    by the chain's sparsity rule."""
+
+    @pytest.mark.parametrize("n", [*range(1, 16), 21, 31])
+    def test_agrees_on_every_divisor(self, n):
+        rng = Random(1000 + n)
+        outcomes = set()
+        for g in divisors_of_xn_minus_1(n):
+            code = CyclicCode(n, g)
+            for _ in range(12):
+                outcomes.add(_agree(code, _sparse_case(code, rng)))
+            assert _agree(code, tuple(range(n)))
+        # at the primes 5, 11 and 13, where 2 is primitive, every code
+        # admits all of S_n
+        if n >= 4 and n not in (5, 11, 13):
+            assert outcomes == {True, False}
+
+    def test_agrees_on_every_move_of_at_most_four_points_at_length_7(self):
+        # among them the 21 involutions of GL(3,2) = Aut of the Hamming
+        # codes, automorphisms whose moved points have distinct syndromes
+        outcomes = []
+        for g in divisors_of_xn_minus_1(7):
+            code = CyclicCode(7, g)
+            for images in itertools.permutations(range(7)):
+                if sum(a != b for a, b in enumerate(images)) <= 4:
+                    outcomes.append(_agree(code, images))
+        assert len(outcomes) == 8 * 407
+        # four codes admit S_7, the four others the identity and 21 involutions
+        assert sum(outcomes) == 4 * 407 + 4 * 22
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_at_length_62(self, data):
+        divisors = _DIVISORS_62
+        g = divisors[data.draw(st.integers(0, len(divisors) - 1), label="divisor")]
+        code = CyclicCode(62, g)
+        rng = Random(data.draw(st.integers(0, 2**32), label="seed"))
+        for _ in range(4):
+            _agree(code, _sparse_case(code, rng))
+
+    def test_trivial_and_full_codes_at_length_62(self):
+        rng = Random(62)
+        for g in (Gf2Poly(1), x_pow_n_minus_1(62)):
+            code = CyclicCode(62, g)
+            assert all(_agree(code, _sparse_case(code, rng)) for _ in range(20))
+
+    def test_sparse_automorphisms_of_the_block_rows(self):
+        # the per-column generators of len961: 31-cycles and transpositions
+        # that keep each class mod 31, automorphisms moving 31 or 2 of 961
+        code = CyclicCode(961, parse_poly_product("(x^5+x^2+1)(x^5+x^3+1)"))
+        for p in expand_constructions(code, [{"kind": "block_rows", "k": 31}])[:4]:
+            assert is_automorphism(code, p[1])
+        swap = list(range(961))
+        swap[0], swap[1] = 1, 0
+        assert not is_automorphism(code, Permutation(tuple(swap)))
+
+    def test_is_automorphism_follows_the_sparsity_rule(self, monkeypatch):
+        # 4 of 16 points moved: the moved-points test; 5 of 16: the rows
+        code = CyclicCode(16, parse_poly("x+1"))
+        real = verify_module._automorphism_test
+        calls = []
+
+        def spying(n, g):
+            rows_test, moved_test = real(n, g)
+
+            def rows(images):
+                calls.append("rows")
+                return rows_test(images)
+
+            def moved(images, points):
+                points = list(points)
+                calls.append(points)
+                return moved_test(images, points)
+
+            return rows, moved
+
+        monkeypatch.setattr(verify_module, "_automorphism_test", spying)
+        four = parse_cycles("(1,2)(5,9)", 16)
+        five = parse_cycles("(1,2,3,4,5)", 16)
+        assert is_automorphism(code, four) and is_automorphism(code, five)
+        assert calls == [[0, 1, 4, 8], "rows"]
+
+
+_DIVISORS_62 = divisors_of_xn_minus_1(62)
+
+
 class TestBruteForce:
     def test_hamming_count(self):
         assert len(brute_force_aut(HAMMING)) == 168
@@ -223,8 +362,8 @@ class TestBruteForce:
         last = tuple(range(6, -1, -1))
 
         def rejecting_last(n, g):
-            test = real(n, g)
-            return lambda images: images != last and test(images)
+            test, moved_test = real(n, g)
+            return (lambda images: images != last and test(images)), moved_test
 
         monkeypatch.setattr(verify_module, "_automorphism_test", rejecting_last)
         with pytest.raises(RuntimeError, match="5039 elements generate order 5040$"):
