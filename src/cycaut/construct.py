@@ -22,7 +22,8 @@ permutations of the flat coordinates:
 
 Block rows are the residue layout transposed (coordinate j + i*cols is
 column j of block row i and column i of residue row j), so the two
-primitives `residue_lift` and `row_permutation` build both layouts.
+primitives `residue_lift` and `row_permutation` build both layouts, alone
+check their ranges, and wrap what they build unsorted (see `cycaut.perm`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def shift(n: int) -> Permutation:
     """The full cycle (1,2,...,n), i.e. the right cyclic shift."""
     if n < 1:
         raise ValueError("n must be positive")
-    return Permutation(tuple((i + 1) % n for i in range(n)))
+    return Permutation._trusted(tuple((i + 1) % n for i in range(n)))
 
 
 def block_row_generators(k: int, m: int) -> list[Permutation]:
@@ -52,15 +53,13 @@ def block_row_generators(k: int, m: int) -> list[Permutation]:
         raise ValueError("need at least two rows")
     if m < 1:
         raise ValueError("need at least one column")
-    moves = [shift(k)] if k == 2 else [shift(k), Permutation((1, 0, *range(2, k)))]
+    moves = [shift(k)] if k == 2 else [shift(k), Permutation._trusted((1, 0, *range(2, k)))]
     return [residue_lift(alpha, row, m) for row in range(1, m + 1) for alpha in moves]
 
 
 def lifted_column_perm(tau: Permutation, k: int) -> Permutation:
     """Apply tau to the columns of every row-major block: coordinate
     j + i*n maps to tau(j) + i*n for 0 <= i < k: `row_permutation(tau, k)`."""
-    if k < 1:
-        raise ValueError("need at least one block")
     return row_permutation(tau, k)
 
 
@@ -75,7 +74,7 @@ def residue_lift(alpha: Permutation, at_row: int, rows: int) -> Permutation:
     r = at_row - 1
     for b in range(cols):
         images[r + b * rows] = r + alpha.images[b] * rows
-    return Permutation(tuple(images))
+    return Permutation._trusted(tuple(images))
 
 
 def row_permutation(beta: Permutation, cols: int) -> Permutation:
@@ -87,22 +86,18 @@ def row_permutation(beta: Permutation, cols: int) -> Permutation:
     images = []
     for b in range(cols):
         images.extend(beta.images[r] + b * rows for r in range(rows))
-    return Permutation(tuple(images))
+    return Permutation._trusted(tuple(images))
 
 
 def interleaved_lift(sigma: Permutation, row: int) -> Permutation:
     """Lift sigma to one parity class of a length-2p word: row 1 acts on
     the odd coordinates (2j-1 -> 2*sigma(j)-1), row 2 on the even ones."""
-    if row not in (1, 2):
-        raise ValueError("row must be 1 or 2")
     return residue_lift(sigma, row, 2)
 
 
 def pair_swap(p: int) -> Permutation:
     """(1,2)(3,4)...(2p-1,2p): swap the two parity classes pointwise."""
-    if p < 1:
-        raise ValueError("p must be positive")
-    return row_permutation(Permutation((1, 0)), p)
+    return row_permutation(Permutation._trusted((1, 0)), p)
 
 
 def multiplier(a: int, n: int) -> Permutation:
@@ -110,7 +105,7 @@ def multiplier(a: int, n: int) -> Permutation:
     coordinate at 1+i moves to 1 + a*i mod n).  Requires gcd(a, n) = 1."""
     if int_gcd(a, n) != 1:
         raise ValueError(f"multiplier {a} is not a unit mod {n}")
-    return Permutation(tuple(a * i % n for i in range(n)))
+    return Permutation._trusted(tuple(a * i % n for i in range(n)))
 
 
 def multiplier_subgroup(code: CyclicCode) -> list[int]:
@@ -119,9 +114,8 @@ def multiplier_subgroup(code: CyclicCode) -> list[int]:
     contains 2 (squaring).  Exhaustive over the units 1..n (a = n is a
     unit only for n = 1, where 1 = n is the one residue).  A multiplier
     other than 1 moves most points, so each takes the row test of the
-    automorphism kernel directly."""
+    automorphism kernel directly, on the images of `multiplier`."""
     n = code.length
     maps_into = _automorphism_test(n, code.generator.bits)[0]
-    return [
-        a for a in range(1, n + 1) if int_gcd(a, n) == 1 and maps_into(multiplier(a, n).images)
-    ]
+    units = [a for a in range(1, n + 1) if int_gcd(a, n) == 1]
+    return [a for a in units if maps_into([a * i % n for i in range(n)])]

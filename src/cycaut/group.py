@@ -125,11 +125,6 @@ classes mod the number of columns (or mod the number of rows).
 
 `exact_order` is the one order path for verification: `block_order`
 when it applies, else a `PermGroup` chain of the full degree.
-
-`count_and_sift` reduces a stream of image tuples to generators in one
-loop, for `filter_generators` and for brute force alike: it sifts each
-tuple into one chain until the kept ones generate S_n, and from then on
-only counts, in C.
 """
 
 from __future__ import annotations
@@ -209,12 +204,11 @@ class _Chain:
         self.sparse_stored: set[frozenset[tuple[int, int]]] = set()
         self.sifted = 0  # Schreier generators sifted so far
 
-    def extend(self, gens) -> None:
-        """Add generators and re-establish the stabilizer-chain invariant."""
+    def extend(self, gens) -> bool:
+        """Add generators and re-establish the stabilizer-chain invariant;
+        True iff one was not a member.  Each is sifted once."""
         dirty = False
         for g in gens:
-            if g == self.identity:
-                continue
             residue, stuck = self._sift(g, 0)
             if residue == self.identity:
                 continue
@@ -222,6 +216,7 @@ class _Chain:
             dirty = True
         if dirty:
             self._process()
+        return dirty
 
     def order(self) -> int:
         n = 1
@@ -477,6 +472,7 @@ def _residue_block_order(gens, n: int, c: int) -> tuple[int, dict] | None:
             moved = set(map(mod, itertools.compress(points, map(ne, g, points))))
             if len(moved) == 1:
                 j = moved.pop()
+                # g moves class j alone: its images there, divided by c, permute 0..k-1
                 local[j].append(tuple(map(div, g[j::c])))
         tops.append(tuple(top))
     full: set[int] = set()
@@ -492,7 +488,8 @@ def _residue_block_order(gens, n: int, c: int) -> tuple[int, dict] | None:
     tops = list(dict.fromkeys(tops))
     if len(_orbit(full, lambda j: [top[j] for top in tops])) < c:
         return None
-    top_order = PermGroup([Permutation(t) for t in tops], degree=c).order()
+    # a bijection that maps classes onto classes permutes them
+    top_order = PermGroup([Permutation._trusted(t) for t in tops], degree=c).order()
     details = {"path": "blocks", "classes": c, "block_size": k, "top_order": str(top_order)}
     return top_order * factorial(k) ** c, details
 
@@ -542,7 +539,7 @@ def _generates_symmetric(perms: tuple[tuple[int, ...], ...], k: int) -> bool:
                         merged += 1
                         pending.append((u, v))
             return merged == k - 1
-    return PermGroup([Permutation(g) for g in perms], degree=k).order() == factorial(k)
+    return PermGroup([Permutation._trusted(g) for g in perms], degree=k).order() == factorial(k)
 
 
 def _is_odd(g: tuple[int, ...]) -> bool:
@@ -602,11 +599,11 @@ def count_and_sift(images, degree: int) -> tuple[int, list[tuple[int, ...]]]:
     and the in-order reduction of `filter_generators`: the tuples that the
     ones kept before them do not generate.
 
-    Each tuple is sifted into one chain until the kept ones generate a
-    group of order degree!, which is then S_n, so every later tuple is a
-    member.  The rest of the iterable is then only counted, in C, with no
-    Python work per item; it is still consumed to its end, so a filtered
-    stream still tests every item."""
+    Each tuple is sifted once, by `_Chain.extend`, into one chain until
+    the kept ones generate a group of order degree!, which is then S_n,
+    so every later tuple is a member.  The rest of the iterable is then
+    only counted, in C, with no Python work per item; it is still
+    consumed to its end, so a filtered stream still tests every item."""
     items = iter(images)
     chain = _Chain(degree)
     full = factorial(degree)
@@ -614,8 +611,7 @@ def count_and_sift(images, degree: int) -> tuple[int, list[tuple[int, ...]]]:
     count = 0
     for g in items:
         count += 1
-        if not chain.contains(g):
-            chain.extend([g])
+        if chain.extend([g]):
             kept.append(g)
             if chain.order() == full:
                 # Something was kept, so degree >= 2 and every tuple is

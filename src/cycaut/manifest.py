@@ -1,4 +1,4 @@
-"""Verification manifests: a JSON list of order claims, one per entry.
+"""Verification manifests: a non-empty JSON list of order claims, one per entry.
 
 Entry fields:
 
@@ -9,7 +9,8 @@ Entry fields:
   expected_order_factors
                   optional [[base, exp], ...], each integer at least 1;
                   their product must equal expected_order (arithmetic
-                  identity of the claim)
+                  identity of the claim); a list whose product surely
+                  exceeds it is refused before the product is built
   method          "brute" | "construct"
   construction    list of construction records (construct only)
   sampling        optional {"trials": int, "seed": int}, both required
@@ -122,8 +123,8 @@ def parse_json(text: str, where: str):
 def load_manifest(path: str) -> list[dict]:
     with open(path, encoding="utf-8") as fh:
         data = parse_json(fh.read(), f"manifest {path}")
-    if not isinstance(data, list):
-        raise ValueError("manifest must be a JSON list of entries")
+    if not isinstance(data, list) or not data:
+        raise ValueError(f"manifest {path} must be a non-empty JSON list of entries")
     names = set()
     for idx, entry in enumerate(data):
         _validate_entry(entry, idx)
@@ -200,6 +201,11 @@ def _validate_entry(entry: dict, idx: int) -> None:
             raise ValueError(f"{named} must be a [base, exponent] pair: {pair!r}")
         _check_integer(pair[0], f"{named}[0]", 1)
         _check_integer(pair[1], f"{named}[1]", 1)
+    # b**e >= 2**(e * (bit_length(b) - 1)): refuse a surely too large product unbuilt
+    if sum(e * (b.bit_length() - 1) for b, e in factors) >= expected.bit_length():
+        raise ValueError(
+            f"{where}: field 'expected_order_factors' multiplies to more than expected_order {expected}"
+        )
     if factors:
         claimed = math.prod(b**e for b, e in factors)
         if claimed != expected:

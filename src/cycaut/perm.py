@@ -4,6 +4,10 @@ Coordinates are 0-based internally; all cycle notation is 1-based.
 Composition is (a * b)(i) = a(b(i)), i.e. b applies first.  When acting
 on words, the bit at coordinate i moves to coordinate p(i), which makes
 the full cycle (1,2,...,n) exactly the right cyclic shift.
+
+Each permutation is checked once: `Permutation(...)` and `parse_cycles`
+check input from outside the package, and `Permutation._trusted` wraps,
+unsorted, a permutation the package builds, which is one by construction.
 """
 
 from __future__ import annotations
@@ -34,9 +38,7 @@ class Permutation:
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> Permutation:
-        """Wrap images that are a permutation by construction (an
-        `itertools.permutations` item, a shuffled range) without the
-        check, which sorts them."""
+        """Wrap images that are a permutation by construction, unsorted."""
         p = object.__new__(cls)
         object.__setattr__(p, "images", images)
         return p
@@ -47,7 +49,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> Permutation:
-        return cls(tuple(range(degree)))
+        return cls._trusted(tuple(range(degree)))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -57,7 +59,7 @@ class Permutation:
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
         img = self.images
-        return Permutation(tuple(map(img.__getitem__, other.images)))
+        return Permutation._trusted(tuple(map(img.__getitem__, other.images)))
 
     def inverse(self) -> Permutation:
         return Permutation._trusted(_inv(self.images))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -106,8 +108,68 @@ class TestLayoutsAreOneLayoutTransposed:
     def test_argument_checks(self):
         with pytest.raises(ValueError, match="at least one column"):
             block_row_generators(3, 0)
-        with pytest.raises(ValueError, match="at least one block"):
+        # the layouts are calls of the two primitives, which own the range checks
+        with pytest.raises(ValueError, match="at least one column"):
             lifted_column_perm(shift(7), 0)
+        with pytest.raises(ValueError, match="at least one column"):
+            pair_swap(0)
+        with pytest.raises(ValueError, match=r"row 3 out of range 1\.\.2"):
+            interleaved_lift(shift(7), 3)
+
+
+def _perm_of_degree(d):
+    return st.permutations(range(d)).map(lambda images: Permutation(tuple(images)))
+
+
+_perms = st.integers(min_value=1, max_value=9).flatmap(_perm_of_degree)
+_small = st.integers(min_value=1, max_value=6)
+
+
+def _assert_permutation(images, n):
+    # takes the images: the repr of a Permutation that is not one never ends
+    assert sorted(images) == list(range(n))
+
+
+class TestOutputsArePermutations:
+    """The constructions and products are wrapped without the
+    constructor's sort, so each must be a permutation by construction:
+    checked here on random valid parameters."""
+
+    @given(st.integers(min_value=1, max_value=40), st.data())
+    def test_shift_and_multiplier(self, n, data):
+        _assert_permutation(shift(n).images, n)
+        a = data.draw(st.sampled_from([a for a in range(1, n + 1) if math.gcd(a, n) == 1]))
+        _assert_permutation(multiplier(a, n).images, n)
+
+    @given(_perms, _small, st.data())
+    def test_residue_lift_and_interleaved_lift(self, alpha, rows, data):
+        at = data.draw(st.integers(min_value=1, max_value=rows))
+        _assert_permutation(residue_lift(alpha, at, rows).images, rows * alpha.degree)
+        row = data.draw(st.sampled_from([1, 2]))
+        _assert_permutation(interleaved_lift(alpha, row).images, 2 * alpha.degree)
+
+    @given(_perms, _small)
+    def test_row_permutation_and_lifted_column(self, beta, cols):
+        _assert_permutation(row_permutation(beta, cols).images, beta.degree * cols)
+        _assert_permutation(lifted_column_perm(beta, cols).images, beta.degree * cols)
+        _assert_permutation(pair_swap(cols).images, 2 * cols)
+
+    @given(st.integers(min_value=2, max_value=6), _small)
+    def test_block_row_generators(self, k, m):
+        for g in block_row_generators(k, m):
+            _assert_permutation(g.images, k * m)
+
+    @given(
+        st.integers(min_value=1, max_value=9).flatmap(
+            lambda d: st.tuples(_perm_of_degree(d), _perm_of_degree(d))
+        ),
+        st.integers(min_value=-5, max_value=12),
+    )
+    def test_products_and_powers(self, pair, e):
+        p, q = pair
+        _assert_permutation((p * q).images, p.degree)
+        _assert_permutation((p**e).images, p.degree)
+        _assert_permutation(Permutation.identity(p.degree).images, p.degree)
 
 
 class TestLiftedColumn:

@@ -177,16 +177,21 @@ class TestFilterGeneratorsSymmetricStop:
         assert next(items, None) is None
 
     def test_nothing_is_sifted_after_symmetric(self, monkeypatch):
+        # a candidate is sifted from level 0, a Schreier generator deeper;
+        # each candidate up to the stop, members too, is sifted once
         sifted = []
-        real = group_module._Chain.contains
+        real = group_module._Chain._sift
 
-        def counting(chain, g):
-            sifted.append(g)
-            return real(chain, g)
+        def counting(chain, g, start):
+            if start == 0:
+                sifted.append(g)
+            return real(chain, g, start)
 
-        monkeypatch.setattr(group_module._Chain, "contains", counting)
-        assert filter_generators(self.S5 + self.TAIL, 5) == self.S5
-        assert sifted == [p.images for p in self.S5]
+        monkeypatch.setattr(group_module._Chain, "_sift", counting)
+        swap, cycle = self.S5
+        candidates = [Permutation.identity(5), swap, swap, cycle]
+        assert filter_generators(candidates + self.TAIL, 5) == self.S5
+        assert sifted == [p.images for p in candidates]
 
     def test_mixed_degrees_rejected_after_the_stop(self):
         s3 = [parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -273,11 +274,12 @@ class TestVerifyTable:
         assert err == "error: --filter 'nosuch' matches no entry\n"
 
     def test_empty_manifest(self, tmp_path, capsys):
+        # no claim was proved, so an empty manifest cannot pass
         path = tmp_path / "empty.json"
         path.write_text("[]")
-        code, out, _ = run_cli(capsys, "verify-table", str(path))
-        assert code == 0
-        assert "0/0 entries passed" in out
+        message = f"error: manifest {path} must be a non-empty JSON list of entries\n"
+        for flags in ([], ["--json"]):
+            assert run_cli(capsys, *flags, "verify-table", str(path)) == (2, "", message)
 
     def test_manifest_parse_failure(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -451,6 +453,21 @@ class TestManifestSchema:
         with pytest.raises(ValueError, match=f"^{message}$"):
             load_manifest(str(path))
         assert run_cli(capsys, "--json", "verify-table", str(path)) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("factors", [[[168, 1], [3, 10_000_000], [1, 1]], [[2, 8]]])
+    def test_refuses_an_oversized_factor_list_unbuilt(self, tmp_path, factors):
+        # 3**10_000_000 would take seconds to build; its size alone refuses it
+        entry = {
+            "name": "huge", "n": 7, "generator": "x^3+x+1", "expected_order": "168",
+            "expected_order_factors": factors, "method": "brute",
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps([entry]))
+        message = "entry 'huge': field 'expected_order_factors' multiplies to more than expected_order 168"
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_manifest(str(path))
+        assert time.perf_counter() - t0 < 1.0
 
     @staticmethod
     def _load_one(tmp_path, change=None):
