@@ -116,21 +116,35 @@ whether they generate Sym(B) is decided by the smallest block that holds
 its two points, found by a union-find without a chain (see
 `_generates_symmetric`); the constructions supply (1,2) and a k-cycle,
 so the length-1922 claim needs no degree-62 chain.  Once these classes
-cover all c, K is the whole product, |K| = (k!)^c, and only the
-degree-c chain of G^D is left to build (Seress, Permutation Group
-Algorithms, 2003, on block systems and kernels).  The word matrices of
-the block-rows and residue-rows constructions are such systems: their
-rows are permuted freely within each column, and the columns are the
-classes mod the number of columns (or mod the number of rows).
+cover all c, K is the whole product, |K| = (k!)^c, and only the order
+of G^D, on c points, is left to find, by `exact_order` (Seress,
+Permutation Group Algorithms, 2003, on block systems and kernels).  The
+word matrices of the block-rows and residue-rows constructions are such
+systems: their rows are permuted freely within each column, and the
+columns are the classes mod the number of columns (or mod the number of
+rows).
 
-`exact_order` is the one order path for verification: `block_order`
-when it applies, else a `PermGroup` chain of the full degree.
+`affine_order` needs no chain at all for the paper's column groups
+<shift, multipliers>: when every generator is x -> a*x + b mod n and one
+is a translation x -> x + b by a unit b, the translations form a normal
+subgroup of order n, g -> a is a homomorphism onto the group <a_i> of
+the multipliers in Z_n^*, and |G| = n * |<a_i>|, the closure of the a_i
+under multiplication mod n (Dixon and Mortimer, Permutation Groups,
+1996, section 3.5).  Each generator is checked point by point, up to its
+first point off the line a*x + b, so a generator that is not affine costs
+little.
+
+`exact_order` is the one order path for verification: `affine_order` or
+`block_order` when one applies, else a `PermGroup` chain of the full
+degree.  Since G^D is ordered by `exact_order` too, the 31 columns of
+the paper's long codes, on which G acts as <shift, multipliers>, take
+the affine rule.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import factorial
+from math import factorial, gcd
 from operator import itemgetter, ne
 from random import Random
 
@@ -422,11 +436,12 @@ class PermGroup:
 
 def exact_order(generators, degree: int) -> tuple[int, dict]:
     """Exact order of the group the permutations generate, and how it
-    was found: by `block_order` when it applies, else by a chain of the
-    full degree, whose shape and cost the details give: the number of
-    strong generators it stores and of Schreier generators it sifted."""
+    was found: by `affine_order` or `block_order` when one applies, else
+    by a chain of the full degree, whose shape and cost the details
+    give: the number of strong generators it stores and of Schreier
+    generators it sifted."""
     generators = list(generators)
-    found = block_order(generators, degree)
+    found = affine_order(generators, degree) or block_order(generators, degree)
     if found is not None:
         return found
     group = PermGroup(generators, degree)
@@ -439,14 +454,43 @@ def exact_order(generators, degree: int) -> tuple[int, dict]:
     }
 
 
+def _images(generators, degree: int) -> list[tuple[int, ...]]:
+    """The image tuples of the permutations, which must have the degree."""
+    gens = [g.images for g in generators]
+    if any(len(g) != degree for g in gens):
+        raise ValueError("generators have mixed degrees")
+    return gens
+
+
+def affine_order(generators, degree: int) -> tuple[int, dict] | None:
+    """Exact order n * |<a_i>| of <generators> when each is x -> a_i*x + b_i
+    mod n and one is a translation by a unit (see the module docstring),
+    or None.  The details give |<a_i>|."""
+    n = degree
+    gens = _images(generators, n)
+    if n < 2:
+        return None
+    multipliers = set()
+    translation = False
+    for g in gens:
+        b = g[0]
+        a = (g[1] - b) % n
+        if any(y != (a * x + b) % n for x, y in enumerate(g)):
+            return None
+        multipliers.add(a)
+        translation = translation or (a == 1 and gcd(b, n) == 1)
+    if not translation:
+        return None
+    closure = len(_orbit([1], lambda x: [x * a % n for a in multipliers]))
+    return n * closure, {"path": "affine", "multipliers": closure}
+
+
 def block_order(generators, degree: int) -> tuple[int, dict] | None:
     """Exact order of <generators> through a residue-class block system
     (see the module docstring), or None when no system mod c, 1 < c <
     degree, meets the conditions.  The details name the classes, their
     size and the order of the block action."""
-    gens = [g.images for g in generators]
-    if any(len(g) != degree for g in gens):
-        raise ValueError("generators have mixed degrees")
+    gens = _images(generators, degree)
     for c in range(degree - 1, 1, -1):  # small classes first: cheaper Sym checks
         if degree % c == 0:
             found = _residue_block_order(gens, degree, c)
@@ -489,7 +533,7 @@ def _residue_block_order(gens, n: int, c: int) -> tuple[int, dict] | None:
     if len(_orbit(full, lambda j: [top[j] for top in tops])) < c:
         return None
     # a bijection that maps classes onto classes permutes them
-    top_order = PermGroup([Permutation._trusted(t) for t in tops], degree=c).order()
+    top_order = exact_order([Permutation._trusted(t) for t in tops], c)[0]
     details = {"path": "blocks", "classes": c, "block_size": k, "top_order": str(top_order)}
     return top_order * factorial(k) ** c, details
 

@@ -410,12 +410,18 @@ def _generators(
     if kind != "brute":
         specs = SHIFT_MULTIPLIERS if kind == "shift_multipliers" else specs
         return expand_constructions(code, specs, cache)
-    key = ("brute", code.length, code.generator.bits)
+    group = _per_code(cache, "brute", code, brute_force_group)
+    return [(f"brute.{j}", p) for j, p in enumerate(group[1])]
+
+
+def _per_code(cache: dict | None, kind: str, code: CyclicCode, make):
+    """make(code), made once per run cache for each code."""
     if cache is None:
-        cache = {}
+        return make(code)
+    key = (kind, code.length, code.generator.bits)
     if key not in cache:
-        cache[key] = brute_force_group(code)
-    return [(f"brute.{j}", p) for j, p in enumerate(cache[key][1])]
+        cache[key] = make(code)
+    return cache[key]
 
 
 def expand_constructions(
@@ -460,7 +466,7 @@ def expand_constructions(
         elif kind == "multiplier":
             out.append((tag, multiplier(spec["a"], n)))
         elif kind == "multipliers":
-            for a in multiplier_subgroup(code):
+            for a in _per_code(cache, "multipliers", code, multiplier_subgroup):
                 if a != 1:
                     out.append((f"{tag}.{a}", multiplier(a, n)))
         elif kind == "perms":

@@ -131,7 +131,10 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 
 def format_cycles(p: Permutation) -> str:
     """Disjoint cycles sorted by smallest moved point, fixed points
-    omitted, identity rendered as "()".  1-based, no spaces."""
+    omitted, identity rendered as "()".  1-based, no spaces.  Raises
+    ValueError on images that are not a permutation, which only a wrong
+    `Permutation._trusted` wrap can hold: no cycle has more points than
+    the degree."""
     img = p.images
     seen: set[int] = set()
     out = []
@@ -141,6 +144,8 @@ def format_cycles(p: Permutation) -> str:
         cycle = [i]
         j = img[i]
         while j != i:
+            if len(cycle) == len(img):
+                raise ValueError("images are not a permutation")
             seen.add(j)
             cycle.append(j)
             j = img[j]

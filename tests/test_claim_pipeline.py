@@ -161,10 +161,14 @@ class TestEveryMethodRunsVerifyClaim:
                   "expected_order": "21", "method": "construct",
                   "construction": SHIFT_MULTIPLIERS}
 
-    @pytest.mark.parametrize("entry", [BRUTE, SHIFT_MULT], ids=["brute", "shift-multipliers"])
-    def test_order_path_is_reported(self, entry):
+    # 21 = 7 * |<2>|, 2 having order 3 mod 7; Aut = PSL(2,7) is not
+    # affine, and 7 is prime, so it has no residue-class blocks
+    @pytest.mark.parametrize(
+        "entry, path", [(BRUTE, "chain"), (SHIFT_MULT, "affine")], ids=["brute", "shift-multipliers"]
+    )
+    def test_order_path_is_reported(self, entry, path):
         report = run_entry(entry)
-        assert report.passed and report.details["order"]["path"] in ("blocks", "chain")
+        assert report.passed and report.details["order"]["path"] == path
 
     def test_sampling_applies_to_brute(self):
         report = run_entry(dict(self.BRUTE, sampling={"trials": 300, "seed": 5}))

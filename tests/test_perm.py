@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -140,3 +142,33 @@ class TestConstructorCheck:
         q = Permutation._trusted(p.images)
         assert q == p and hash(q) == hash(p)
         assert q.degree == p.degree and str(q) == str(p)
+
+    @pytest.mark.parametrize("images", [(0, 0), (1, 0, 1), (1, 2, 2), (2, 0, 0, 3)])
+    def test_cycle_text_of_non_permutation_raises(self, images):
+        # a cycle walk that never returns to its start once looped forever
+        def overrun(signum, frame):
+            raise TimeoutError("format_cycles ran for more than 1 s")
+
+        previous = signal.signal(signal.SIGALRM, overrun)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(ValueError, match="not a permutation"):
+                format_cycles(Permutation._trusted(images))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @given(permutations())
+    def test_cycle_text_of_permutations_is_unchanged(self, p):
+        # the unbounded walk, which ends on every permutation
+        img, seen, out = p.images, set(), []
+        for i in range(len(img)):
+            if i in seen or img[i] == i:
+                continue
+            cycle, j = [i], img[i]
+            while j != i:
+                seen.add(j)
+                cycle.append(j)
+                j = img[j]
+            out.append("(" + ",".join(str(c + 1) for c in cycle) + ")")
+        assert str(p) == ("".join(out) or "()")
