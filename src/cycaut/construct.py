@@ -116,6 +116,6 @@ def multiplier_subgroup(code: CyclicCode) -> list[int]:
     other than 1 moves most points, so each takes the row test of the
     automorphism kernel directly, on the images of `multiplier`."""
     n = code.length
-    maps_into = _automorphism_test(n, code.generator.bits)[0]
+    maps_into = _automorphism_test(code)[0]
     units = [a for a in range(1, n + 1) if int_gcd(a, n) == 1]
     return [a for a in units if maps_into([a * i % n for i in range(n)])]

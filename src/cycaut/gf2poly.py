@@ -140,7 +140,7 @@ def gcd(p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
 
 
 def _powmod_bits(a: int, e: int, m: int) -> int:
-    acc = 1 % m if m != 1 else 0
+    acc = 1 % m
     base = _mod_bits(a, m)
     while e:
         if e & 1:

@@ -71,33 +71,25 @@ generators.
 Sparse means that at most a quarter of the points move.  The look-up
 costs time in proportion to the m points s moves; writing sigma out
 costs a copy of the identity, m assignments and a tuple of n, against
-the two compositions it replaces.  That breaks even near m = n/2 for n =
-31 to 500, and the rule stays well below it: at a quarter it is 20 to
-50% faster (at n = 186: 3.1 against 5.8 microseconds at m = 46; CPython
-3.11, 2 shared vCPUs).  The rule leaves every chain of degree < 8 dense,
-and all of GL(r, 2) on the 2^r - 1 nonzero vectors, whose non-identity
+the two compositions it replaces, which breaks even near m = n/2, well
+above the rule.  The rule leaves every chain of degree < 8 dense, and
+all of GL(r, 2) on the 2^r - 1 nonzero vectors, whose non-identity
 elements move at least 2^(r-1) of them; the per-column generators of the
 block rows, k of n = 31k points, are sparse.  The automorphism test
-of `cycaut.verify` uses the same rule (`_is_sparse`) to test a
+of `cycaut.verify` uses the same rule (`_sparse_moves`) to test a
 permutation by the points it moves.
 
 A pass over a level's pairs returns as soon as it finds a residue, and
 the level is passed over again, from its first generator, once the
 deeper levels have taken the residue in.
 
-`sample` multiplies one drawn transversal per level into acc, and acc *
-u differs from acc only at the points u moves, which all lie in the mask
-of u.  When that mask holds at most a quarter of the points, `sample`
-writes acc at the mask's points alone, from a per-level map, filled as
-points are drawn, of those points and an itemgetter of their images
-under u.  Other transversals are composed on all points, and acc stays a
-tuple until the first such write, so a chain whose masks are all large
-pays one mask count per level.  `random_element` serves the
-chain-membership benchmark, whose set-up draws 500 members of the n =
-186 group: 300 draws of it take 39 ms instead of 81 ms.  On chains whose
-masks are all large the count costs 7% for GL(7, 2) and GL(8, 2) and 20%
-for S_31, where a composition is short (minima of six in-process rounds,
-CPython 3.11, 2 shared vCPUs).
+`sample` multiplies one drawn transversal u per level into acc, a list,
+and acc * u differs from acc only at the points u moves, which all lie
+in the mask of u.  So acc is written at the mask's points alone, from a
+per-level map, filled as points are drawn, of those points and an
+itemgetter of their images under u.  One loop serves every mask: a
+sparse one costs its own points, not n, and a mask of nearly all points
+costs about one composition.
 
 `block_order` finds the exact order of many large groups without a
 chain of their degree.  Split the points 0..n-1 into the c residue
@@ -167,19 +159,13 @@ def _support(a: tuple[int, ...], identity: tuple[int, ...]) -> int:
     return int.from_bytes(bytes(map(ne, a, identity)), "little")
 
 
-def _is_sparse(moved: int, degree: int) -> bool:
-    """The sparsity rule: a permutation that moves at most a quarter of
-    the points is handled by the points it moves, here and in the
+def _sparse_moves(a: tuple[int, ...], identity: tuple[int, ...] | range) -> tuple[int, ...] | None:
+    """The points a moves, in increasing order, when they are at most a
+    quarter of the points; else None.  This is the sparsity rule: such a
+    permutation is handled by the points it moves, here and in the
     automorphism test (see the module docstring)."""
-    return 4 * moved <= degree
-
-
-def _sparse_moves(a: tuple[int, ...], identity: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The points a moves, in increasing order, when `_is_sparse` holds
-    for them, which is when the chain handles a by its moved points;
-    else None."""
     moved = tuple(itertools.compress(identity, map(ne, a, identity)))
-    return moved if _is_sparse(len(moved), len(identity)) else None
+    return moved if 4 * len(moved) <= len(identity) else None
 
 
 class _Level:
@@ -204,7 +190,7 @@ class _Level:
         self.scanned = 0  # gens already applied to every settled orbit point
         self.paired: list[int] = []  # per gen: orbit_order prefix already sifted
         # orbit point p -> (the points of the mask of u_p, an itemgetter of
-        # their images), for the sparse masks `sample` has drawn
+        # their images), for the points `sample` has drawn
         self.transversal_moves: dict[int, tuple[tuple[int, ...], itemgetter]] = {}
 
 
@@ -243,23 +229,17 @@ class _Chain:
         return residue == self.identity
 
     def sample(self, rng: Random) -> tuple[int, ...]:
-        acc = self.identity
-        degree = self.degree
+        acc = list(self.identity)
         for lvl in self.levels:
             point = lvl.orbit_order[rng.randrange(len(lvl.orbit_order))]
             if point == lvl.base:
                 continue
-            u, _, mask = lvl.orbit[point]
-            if not _is_sparse(mask.bit_count(), degree):
-                acc = _mul(acc, u)
-                continue
             # acc * u differs from acc only at the points u moves, all in its mask
             moves = lvl.transversal_moves.get(point)
             if moves is None:
-                points = tuple(itertools.compress(self.identity, mask.to_bytes(degree, "little")))
+                u, _, mask = lvl.orbit[point]
+                points = tuple(itertools.compress(self.identity, mask.to_bytes(self.degree, "little")))
                 moves = lvl.transversal_moves[point] = (points, itemgetter(*map(u.__getitem__, points)))
-            if type(acc) is tuple:
-                acc = list(acc)
             points, images = moves
             for i, x in zip(points, images(acc)):
                 acc[i] = x
@@ -541,8 +521,8 @@ def _residue_block_order(gens, n: int, c: int) -> tuple[int, dict] | None:
 def _generates_symmetric(perms: tuple[tuple[int, ...], ...], k: int) -> bool:
     """True iff the image tuples generate Sym(k).
 
-    Transitivity first, then parity, which are cheap: for k >= 2, even
-    permutations generate a subgroup of Alt(k).  Then, when one of them
+    Parity first, which is cheap: for k >= 2, even permutations generate
+    a subgroup of Alt(k).  Then, when one of them
     is a transposition (a b): the points x with x = a or (a x) in the
     group G form a block of G, since (a x)(a y)(a x) = (x y), so the
     relation "x = y or (x y) in G" is a G-invariant equivalence.  It holds
@@ -554,9 +534,9 @@ def _generates_symmetric(perms: tuple[tuple[int, ...], ...], k: int) -> bool:
     generator g merge the classes of g(x) and g(y), queueing each new
     pair, until every queued pair is done.  B is all k points iff k - 1
     merges were made.  Without a transposition, the order of a degree-k
-    chain decides."""
-    if len(_orbit([0], lambda p: [g[p] for g in perms])) < k:
-        return False
+    chain decides.  Neither needs a transitivity test: the union-find only
+    merges points of the orbit of a, and a chain has order k! only for
+    Sym(k), which is transitive."""
     if k >= 2 and not any(map(_is_odd, perms)):
         return False
     for t in perms:

@@ -13,34 +13,16 @@ of dimension n - k.  The test therefore runs on D, the smaller of the
 two, with min(k, n - k) basis rows g_D * x^j: 10 rows instead of 1912 on
 the length-1922 claim.
 
-A word w lies in D iff its syndrome w mod g_D is 0, and the syndrome is
-linear, so the syndrome of the image of a row is the XOR of the
-syndromes x^i mod g_D over the image points i.  Once per (n, g), the
-kernel `_automorphism_test` tabulates those n syndromes and one
-`operator.itemgetter` per row that picks the row's support out of a
-permutation's images; the per-row test then runs in C, as
-`reduce(xor, map(syndrome, row(images)))` or, for short syndromes, an
-equivalent `sum` over lane-packed ones.  The rows are tested one at a
-time and the first non-zero syndrome rejects: a random permutation
-almost always fails on the first row, so looking up the syndromes of all
-n image points first costs more than it saves (brute force over S_7 for
-the eight length-7 codes ran 10-40% slower that way).
-
-Most constructed generators move few points: a per-column generator of
-the block rows moves k of the n = ck points.  A permutation p fixes
-every other point, so for every row r, p(r) + r is the sum of e_x +
-e_p(x) over the points x of r that p moves, and the syndrome of p(r) is
-the XOR of s_x ^ s_p(x) over them (r itself has syndrome 0).  The kernel
-also lists, per point, the rows that hold it, built row by row in
-O(dim D * |supp g_D|), like the itemgetters; the moved-points test then
-adds each moved point's s_x ^ s_p(x) into the syndromes of its rows, and
-p passes iff they all end at 0, at a cost in proportion to the points p
-moves.  `is_automorphism` counts the moved points in C and takes this
-path when they are at most a quarter of the points, the sparsity rule of
-the stabilizer chain (`group._is_sparse`); callers that test dense
+A word w lies in D iff its syndrome w mod g_D is 0.  One kernel per
+code, `_automorphism_test`, tabulates the syndromes and returns two tests
+over the same tables: a row test, which rejects at the first row whose
+image has a non-zero syndrome, and a moved-points test, whose cost is in
+proportion to the points a permutation moves; its docstring gives both.
+`is_automorphism` lists the moved points once and takes the moved-points
+test when they are at most a quarter of the points, the sparsity rule of
+the stabilizer chain (`group._sparse_moves`); callers that test dense
 permutations in bulk (brute force, negative sampling and the multiplier
-scan) call the row test directly.  Both tests read the same tables, so
-every automorphism test runs one kernel.
+scan) call the row test directly.
 
 Brute force filters the image tuples of `itertools.permutations` through
 the kernel and streams the survivors into `group.count_and_sift`, one
@@ -59,13 +41,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter, ne, xor
+from operator import itemgetter, xor
 from random import Random
 from time import perf_counter
 
 from .code import CyclicCode
-from .gf2poly import _divmod_bits
-from .group import _is_sparse, count_and_sift, exact_order
+from .group import _sparse_moves, count_and_sift, exact_order
 from .perm import Permutation
 
 # The longest code that brute force enumerates S_n for, wherever it is
@@ -80,15 +61,15 @@ def is_automorphism(code: CyclicCode, p: Permutation) -> bool:
     automorphisms: the image of each of its min(k, n - k) basis rows must
     have syndrome 0.  A p that moves at most a quarter of the points is
     tested by the points it moves, any other one row by row, so most
-    non-automorphisms are rejected by the first row (see the module
-    docstring)."""
+    non-automorphisms are rejected by the first row (see
+    `_automorphism_test`)."""
     if p.degree != code.length:
         raise ValueError("permutation degree does not match code length")
-    maps_into, moved_maps_into = _automorphism_test(code.length, code.generator.bits)
+    maps_into, moved_maps_into = _automorphism_test(code)
     images = p.images
-    points = range(len(images))
-    if _is_sparse(sum(map(ne, images, points)), len(images)):
-        return moved_maps_into(images, itertools.compress(points, map(ne, images, points)))
+    moved = _sparse_moves(images, range(len(images)))
+    if moved is not None:
+        return moved_maps_into(images, moved)
     return maps_into(images)
 
 
@@ -99,14 +80,15 @@ _WORD_BITS = 62
 
 # Bounded, so that a sweep over many codes keeps only the latest tables.
 @functools.lru_cache(maxsize=64)
-def _automorphism_test(n: int, g: int):
+def _automorphism_test(code: CyclicCode):
     """The row test and the moved-points test of whether a permutation
-    maps the length-n cyclic code <g> into itself: predicates on its
-    images, and on its images and the points it moves.
+    maps the cyclic code into itself: predicates on its images, and on
+    its images and the points it moves.  Equal codes share one kernel.
 
-    D is the code if k = dim <g> <= n - k, else the dual code, generated
-    by the reciprocal of h = (x^n+1)/g.  syndromes[i] = x^i mod g_D, and
-    rows[j] picks the support of g_D * x^j, j < dim D, out of the images.
+    D is the code if its dimension k <= n - k, else the dual code,
+    generated by the reciprocal of the code's check polynomial h =
+    (x^n+1)/g.  syndromes[i] = x^i mod g_D, and rows[j] picks the
+    support of g_D * x^j, j < dim D, out of the images.
     When dim D >= 1, g_D has degree n - dim D >= 1 and constant term 1, so
     every support has at least two points and each itemgetter returns a
     tuple.  When dim D = 0 (g = 1 or g = x^n+1) there are no rows and
@@ -120,13 +102,22 @@ def _automorphism_test(n: int, g: int):
     of each lane, the XOR; while it fits in a machine word, `sum` adds in
     C without a call per point, where `reduce(xor, ...)` makes one.  That
     keeps brute force over S_7 as fast as the bit loop it replaces.
-    Longer syndromes are XORed."""
-    k = n - (g.bit_length() - 1)
+    Longer syndromes are XORed.  The rows are tested one at a time and
+    the first non-zero syndrome rejects: a random permutation almost
+    always fails on the first row, so looking up the syndromes of all n
+    image points first costs more than it saves.
+
+    A permutation p fixes every point it does not move, so for every row
+    r, p(r) + r is the sum of e_x + e_p(x) over the points x of r that p
+    moves, and the syndrome of p(r) is the XOR of s_x ^ s_p(x) over them
+    (r itself has syndrome 0).  The moved-points test adds each moved
+    point's s_x ^ s_p(x) into the syndromes of the rows that hold it, and
+    p passes iff they all end at 0."""
+    n, k = code.length, code.dimension
     if 2 * k <= n:
-        gd, rank = g, k
+        gd, rank = code.generator.bits, k
     else:
-        h = _divmod_bits((1 << n) | 1, g)[0]
-        gd, rank = int(format(h, "b")[::-1], 2), n - k
+        gd, rank = int(format(code.check.bits, "b")[::-1], 2), n - k
     deg = gd.bit_length() - 1
     syndromes = []
     s = 1
@@ -213,7 +204,7 @@ def _automorphism_images(code: CyclicCode):
             f"length {n} exceeds brute-force cutoff {BRUTE_FORCE_MAX_N}; "
             "use a constructive verification instead"
         )
-    return filter(_automorphism_test(n, code.generator.bits)[0], itertools.permutations(range(n)))
+    return filter(_automorphism_test(code)[0], itertools.permutations(range(n)))
 
 
 def sample_outside(code: CyclicCode, generators, order: int, trials: int, seed: int) -> int:
@@ -231,7 +222,7 @@ def sample_outside(code: CyclicCode, generators, order: int, trials: int, seed: 
         raise ValueError("generator degree does not match code length")
     rng = Random(seed)
     n = code.length
-    maps_into = _automorphism_test(n, code.generator.bits)[0]
+    maps_into = _automorphism_test(code)[0]
     escapes = 0
     for _ in range(trials):
         images = list(range(n))

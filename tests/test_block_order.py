@@ -277,6 +277,15 @@ class TestGeneratesSymmetric:
         # A_4 from two 3-cycles
         assert not _generates_symmetric(((1, 2, 0, 3), (0, 2, 3, 1)), 4)
 
+    def test_intransitive_generators(self):
+        # no transitivity test runs first: the union-find stays inside the
+        # orbit of the transposition's points, parity refuses even
+        # generators, and a chain of an intransitive group has order < k!
+        assert not _generates_symmetric(((1, 0, 2),), 3)
+        assert not _generates_symmetric(((1, 0, 2, 3), (0, 1, 3, 2)), 4)
+        # an odd 4-cycle fixing the fifth point: the chain decides
+        assert not _generates_symmetric(((1, 2, 3, 0, 4),), 5)
+
     def test_without_a_transposition_the_chain_decides(self):
         # S_4 from a 4-cycle and a 3-cycle; Sym(1)
         assert _generates_symmetric(((1, 2, 3, 0), (1, 2, 0, 3)), 4)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -323,7 +324,7 @@ class TestSparsePath:
     every Schreier generator is composed over all points.  Both must
     build the same chain and draw the same random elements, and those
     must be the products of the drawn transversals, which `sample`
-    updates only where a transversal with a small mask moves points."""
+    writes only at the points of each transversal's mask."""
 
     @given(_sparse_and_dense_generators())
     @settings(max_examples=60, deadline=None)
@@ -358,6 +359,18 @@ class TestSparsePath:
     def test_sparse_stored_holds_every_sparse_stored_generator(self, case):
         degree, gens = case
         self._assert_sparse_stored_registered(PermGroup(gens, degree=degree)._chain)
+
+    def test_draws_on_a_chain_with_large_masks(self):
+        # S_31 from a 31-cycle and a transposition: most transversals move
+        # more than a quarter of the points, and are written at them too
+        n = 31
+        grp = PermGroup([shift(n), parse_cycles("(1,2)", n)], degree=n)
+        chain = grp._chain
+        masks = [mask for lvl in chain.levels for _, _, mask in lvl.orbit.values()]
+        assert sum(4 * m.bit_count() > n for m in masks) > len(masks) // 2
+        draws = [grp.random_element(seed).images for seed in range(20)]
+        assert draws == [_dense_product(chain, seed) for seed in range(20)]
+        assert hashlib.sha256(repr(draws).encode()).hexdigest()[:16] == "7825040f1bf9bfc0"
 
     def test_sparse_rule(self):
         identity = tuple(range(8))

@@ -131,6 +131,13 @@ class TestSyndromeKernel:
             for images in itertools.islice(itertools.permutations(range(n)), 50):
                 assert is_automorphism(code, Permutation(images))
 
+    def test_equal_codes_share_one_kernel(self):
+        # the kernel is cached by the code; two codes built apart are equal
+        a = CyclicCode(15, parse_poly_product("(x^4+x+1)(x^2+x+1)"))
+        b = CyclicCode(15, parse_poly("x^6+x^5+x^4+x^3+1"))
+        assert a == b and a is not b
+        assert verify_module._automorphism_test(a) is verify_module._automorphism_test(b)
+
     def test_lengths_one_and_two(self):
         # n = 1: g in {1, x+1}; n = 2: g in {1, x+1, x^2+1}
         assert [str(g) for g in divisors_of_xn_minus_1(2)] == ["1", "x+1", "x^2+1"]
@@ -172,13 +179,13 @@ def _agree(code, images):
     it agrees with the row test and with the reference on the code and
     on its dual."""
     n = code.length
-    rows_test, moved_test = verify_module._automorphism_test(n, code.generator.bits)
+    rows_test, moved_test = verify_module._automorphism_test(code)
     moved = [x for x in range(n) if images[x] != x]
     got = moved_test(images, moved)
     assert got == rows_test(images), (n, str(code.generator), images)
     assert got == _maps_rows_into_code(code, Permutation(images)), (n, str(code.generator), images)
     dual = _dual(code)
-    dual_rows, dual_moved = verify_module._automorphism_test(n, dual.generator.bits)
+    dual_rows, dual_moved = verify_module._automorphism_test(dual)
     assert dual_moved(images, moved) == dual_rows(images) == got
     return got
 
@@ -249,8 +256,8 @@ class TestMovedPointsTest:
         real = verify_module._automorphism_test
         calls = []
 
-        def spying(n, g):
-            rows_test, moved_test = real(n, g)
+        def spying(code):
+            rows_test, moved_test = real(code)
 
             def rows(images):
                 calls.append("rows")
@@ -361,8 +368,8 @@ class TestBruteForce:
         real = verify_module._automorphism_test
         last = tuple(range(6, -1, -1))
 
-        def rejecting_last(n, g):
-            test, moved_test = real(n, g)
+        def rejecting_last(code):
+            test, moved_test = real(code)
             return (lambda images: images != last and test(images)), moved_test
 
         monkeypatch.setattr(verify_module, "_automorphism_test", rejecting_last)
