@@ -105,10 +105,10 @@ When some generators that move the points of one class B only generate
 all of Sym(B), then G contains Sym(B), and so its conjugates Sym(g(B))
 for every g in G.  When one of those generators is a transposition,
 whether they generate Sym(B) is decided by the smallest block that holds
-its two points, found by a union-find without a chain (see
-`_generates_symmetric`); the constructions supply (1,2) and a k-cycle,
-so the length-1922 claim needs no degree-62 chain.  Once these classes
-cover all c, K is the whole product, |K| = (k!)^c, and only the order
+its two points, found by a union-find without a chain
+(`_symmetric_by_transposition`); the constructions supply (1,2) and a
+k-cycle, so the length-1922 claim needs no degree-62 chain.  Once these
+classes cover all c, K is the whole product, |K| = (k!)^c, and only the order
 of G^D, on c points, is left to find, by `exact_order` (Seress,
 Permutation Group Algorithms, 2003, on block systems and kernels).  The
 word matrices of the block-rows and residue-rows constructions are such
@@ -126,11 +126,10 @@ under multiplication mod n (Dixon and Mortimer, Permutation Groups,
 first point off the line a*x + b, so a generator that is not affine costs
 little.
 
-`exact_order` is the one order path for verification: `affine_order` or
-`block_order` when one applies, else a `PermGroup` chain of the full
-degree.  Since G^D is ordered by `exact_order` too, the 31 columns of
-the paper's long codes, on which G acts as <shift, multipliers>, take
-the affine rule.
+`exact_order` is the one order path for verification; its details name
+the path: affine | blocks | symmetric | chain.  Since G^D is ordered by
+`exact_order` too, the 31 columns of the paper's long codes take the
+affine rule, and the 7 columns of the block-rows claims the symmetric one.
 """
 
 from __future__ import annotations
@@ -416,14 +415,16 @@ class PermGroup:
 
 def exact_order(generators, degree: int) -> tuple[int, dict]:
     """Exact order of the group the permutations generate, and how it
-    was found: by `affine_order` or `block_order` when one applies, else
-    by a chain of the full degree, whose shape and cost the details
-    give: the number of strong generators it stores and of Schreier
-    generators it sifted."""
+    was found: by `affine_order` or `block_order` when one applies, as
+    Sym(n) by `_symmetric_by_transposition`, else by a chain of the full
+    degree, whose shape and cost the details give: the number of strong
+    generators it stores and of Schreier generators it sifted."""
     generators = list(generators)
     found = affine_order(generators, degree) or block_order(generators, degree)
     if found is not None:
         return found
+    if _symmetric_by_transposition(_images(generators, degree), degree):
+        return factorial(degree), {"path": "symmetric"}
     group = PermGroup(generators, degree)
     return group.order(), {
         "path": "chain",
@@ -519,51 +520,58 @@ def _residue_block_order(gens, n: int, c: int) -> tuple[int, dict] | None:
 
 
 def _generates_symmetric(perms: tuple[tuple[int, ...], ...], k: int) -> bool:
-    """True iff the image tuples generate Sym(k).
-
-    Parity first, which is cheap: for k >= 2, even permutations generate
-    a subgroup of Alt(k).  Then, when one of them
-    is a transposition (a b): the points x with x = a or (a x) in the
-    group G form a block of G, since (a x)(a y)(a x) = (x y), so the
-    relation "x = y or (x y) in G" is a G-invariant equivalence.  It holds
-    b, so it holds the smallest block B that holds a and b.  If B is all
-    k points, G holds every (a x) and is Sym(k); if G = Sym(k), G is
-    primitive and B is all k points.  Atkinson's union-find ("An algorithm
-    for finding the blocks of a permutation group", Math. Comp. 29, 1975)
-    finds B: merge a and b, and for each merged pair (x, y) and each
-    generator g merge the classes of g(x) and g(y), queueing each new
-    pair, until every queued pair is done.  B is all k points iff k - 1
-    merges were made.  Without a transposition, the order of a degree-k
-    chain decides.  Neither needs a transitivity test: the union-find only
-    merges points of the orbit of a, and a chain has order k! only for
-    Sym(k), which is transitive."""
+    """True iff the image tuples generate Sym(k): not when all are even
+    (for k >= 2 they generate a subgroup of Alt(k)); else as decided by
+    `_symmetric_by_transposition`, or by a degree-k chain, whose order is
+    k! only for Sym(k)."""
     if k >= 2 and not any(map(_is_odd, perms)):
         return False
-    for t in perms:
-        moved = [i for i in range(k) if t[i] != i]
-        if len(moved) == 2:
-            parent = list(range(k))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            a, b = moved
-            parent[b] = a
-            merged = 1
-            pending = [(a, b)]
-            while pending:
-                x, y = pending.pop()
-                for g in perms:
-                    u, v = find(g[x]), find(g[y])
-                    if u != v:
-                        parent[u] = v
-                        merged += 1
-                        pending.append((u, v))
-            return merged == k - 1
+    found = _symmetric_by_transposition(perms, k)
+    if found is not None:
+        return found
     return PermGroup([Permutation._trusted(g) for g in perms], degree=k).order() == factorial(k)
+
+
+def _symmetric_by_transposition(perms, k: int) -> bool | None:
+    """Whether the image tuples generate Sym(k), decided by the first of
+    them that is a transposition (a b); None when none is.
+
+    The points x with x = a or (a x) in the group G form a block of G,
+    since (a x)(a y)(a x) = (x y), so the relation "x = y or (x y) in G"
+    is a G-invariant equivalence.  It holds b, so it holds the smallest
+    block B that holds a and b.  If B is all k points, G holds every
+    (a x) and is Sym(k); if G = Sym(k), G is primitive and B is all k
+    points.  Atkinson's union-find ("An algorithm for finding the blocks
+    of a permutation group", Math. Comp. 29, 1975) finds B: merge a and
+    b, and for each merged pair (x, y) and each generator g merge the
+    classes of g(x) and g(y), queueing each new pair, until every queued
+    pair is done.  B is all k points iff k - 1 merges were made.  No
+    transitivity test is needed: only points of the orbit of a merge."""
+    points = range(k)
+    t = next((t for t in perms if sum(map(ne, t, points)) == 2), None)
+    if t is None:
+        return None
+    parent = list(points)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    a, b = itertools.compress(points, map(ne, t, points))
+    parent[b] = a
+    merged = 1
+    pending = [(a, b)]
+    while pending:
+        x, y = pending.pop()
+        for g in perms:
+            u, v = find(g[x]), find(g[y])
+            if u != v:
+                parent[u] = v
+                merged += 1
+                pending.append((u, v))
+    return merged == k - 1
 
 
 def _is_odd(g: tuple[int, ...]) -> bool:

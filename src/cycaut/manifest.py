@@ -31,7 +31,7 @@ Construction records (degree = code length unless noted):
   {"kind": "residue_lift", "rows": R, "at": [a,...], "inner": SOURCE}
   {"kind": "row_permutation", "rows": R, "perms": [cycles,...]}
   {"kind": "multiplier", "a": A}
-  {"kind": "multipliers"}                                  all preserving units
+  {"kind": "multipliers"}                                  a generating set of the preserving units
   {"kind": "perms", "cycles": [cycles,...]}
 
 SOURCE describes the generators of an inner group on a shorter code:
@@ -84,6 +84,7 @@ from .construct import (
     shift,
 )
 from .gf2poly import parse_poly_product
+from .group import _orbit
 from .perm import Permutation, parse_cycles
 from .verify import BRUTE_FORCE_MAX_N, VerificationReport, brute_force_group, verify_claim
 
@@ -466,13 +467,24 @@ def expand_constructions(
         elif kind == "multiplier":
             out.append((tag, multiplier(spec["a"], n)))
         elif kind == "multipliers":
-            for a in _per_code(cache, "multipliers", code, multiplier_subgroup):
-                if a != 1:
-                    out.append((f"{tag}.{a}", multiplier(a, n)))
+            for a in _per_code(cache, "multipliers", code, _multiplier_generators):
+                out.append((f"{tag}.{a}", multiplier(a, n)))
         elif kind == "perms":
             for j, text in enumerate(spec["cycles"]):
                 out.append((f"{tag}.{j}", parse_cycles(text, n)))
     return out
+
+
+def _multiplier_generators(code: CyclicCode) -> list[int]:
+    """A generating set of the units whose multipliers preserve the code:
+    in ascending order, each unit that the ones kept before it do not
+    generate under multiplication mod n."""
+    n, kept, closure = code.length, [], {1}
+    for a in multiplier_subgroup(code):
+        if a not in closure:
+            kept.append(a)
+            closure = _orbit([1], lambda x: [x * b % n for b in kept])
+    return kept
 
 
 def run_entry(entry: dict, *, cache: dict | None = None) -> VerificationReport:

@@ -46,6 +46,7 @@ from random import Random
 from time import perf_counter
 
 from .code import CyclicCode
+from .gf2poly import Gf2Poly
 from .group import _sparse_moves, count_and_sift, exact_order
 from .perm import Permutation
 
@@ -78,12 +79,11 @@ def is_automorphism(code: CyclicCode, p: Permutation) -> bool:
 _WORD_BITS = 62
 
 
-# Bounded, so that a sweep over many codes keeps only the latest tables.
-@functools.lru_cache(maxsize=64)
 def _automorphism_test(code: CyclicCode):
     """The row test and the moved-points test of whether a permutation
     maps the cyclic code into itself: predicates on its images, and on
-    its images and the points it moves.  Equal codes share one kernel.
+    its images and the points it moves.  Equal codes share one kernel,
+    cached by n and the bits of g: ints hash faster than the code.
 
     D is the code if its dimension k <= n - k, else the dual code,
     generated by the reciprocal of the code's check polynomial h =
@@ -113,9 +113,17 @@ def _automorphism_test(code: CyclicCode):
     (r itself has syndrome 0).  The moved-points test adds each moved
     point's s_x ^ s_p(x) into the syndromes of the rows that hold it, and
     p passes iff they all end at 0."""
-    n, k = code.length, code.dimension
+    return _kernel(code.length, code.generator.bits)
+
+
+# Bounded, so that a sweep over many codes keeps only the latest tables.
+@functools.lru_cache(maxsize=64)
+def _kernel(n: int, g: int):
+    """`_automorphism_test` of the length-n code generated by the bits g."""
+    code = CyclicCode(n, Gf2Poly(g))
+    k = code.dimension
     if 2 * k <= n:
-        gd, rank = code.generator.bits, k
+        gd, rank = g, k
     else:
         gd, rank = int(format(code.check.bits, "b")[::-1], 2), n - k
     deg = gd.bit_length() - 1

@@ -350,17 +350,86 @@ class TestGeneratesSymmetric:
         assert not _generates_symmetric((swap, tuple((x + 31) % k for x in range(k))), k)
 
 
+class TestSymmetricPath:
+    """`exact_order` orders a group that holds a transposition as Sym(n)
+    by the union-find, with no chain, when the smallest block that holds
+    the transposition's points is every point; otherwise the chain does."""
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_symmetric_groups_need_no_chain(self, monkeypatch, n):
+        TestGeneratesSymmetric._no_chain(monkeypatch)
+        cycle = Permutation(tuple((x + 1) % n for x in range(n)))
+        swaps = [parse_cycles(f"({i},{i + 1})", n) for i in range(1, n)]
+        for gens in ([swaps[0], cycle], [cycle, swaps[-1]], swaps, swaps[::-1]):
+            assert exact_order(gens, n) == (math.factorial(n), {"path": "symmetric"})
+
+    def test_dihedral_group_of_order_8_takes_the_chain(self):
+        # the smallest block holding 1 and 2 is {1, 2}: not all 4 points
+        gens = [parse_cycles("(1,2)", 4), parse_cycles("(1,3)(2,4)", 4)]
+        order, details = exact_order(gens, 4)
+        assert (order, details["path"]) == (8, "chain")
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_a_fixed_point_leaves_one_merge_short(self, n):
+        # Sym(n - 1) on the first n - 1 points: n - 2 merges, not n - 1
+        gens = [parse_cycles("(1,2)", n), parse_cycles(f"({','.join(map(str, range(1, n)))})", n)]
+        order, details = exact_order(gens, n)
+        assert (order, details["path"]) == (math.factorial(n - 1), "chain")
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_chain_up_to_12(self, data):
+        # random permutations, cycles on drawn points (so that intransitive
+        # groups come up), and a transposition about half the time
+        n = data.draw(st.integers(min_value=2, max_value=12), label="n")
+        perms = data.draw(st.lists(st.permutations(range(n)), max_size=2), label="perms")
+        for _ in range(data.draw(st.integers(0, 2), label="cycles")):
+            drawn = st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True)
+            points = data.draw(drawn, label="cycle")
+            g = list(range(n))
+            for x, y in zip(points, points[1:] + points[:1]):
+                g[x] = y
+            perms.append(g)
+        if data.draw(st.booleans(), label="transposition"):
+            a, b = data.draw(st.permutations(range(n)), label="pair")[:2]
+            t = list(range(n))
+            t[a], t[b] = b, a
+            perms.insert(data.draw(st.integers(0, len(perms)), label="at"), t)
+        gens = [Permutation(tuple(g)) for g in perms]
+        order, details = exact_order(gens, n)
+        event(f"path={details['path']}")
+        assert order == PermGroup(gens, degree=n).order()
+
+    def test_the_default_table_builds_no_chain_of_a_symmetric_group(self, monkeypatch):
+        # the S_7 tops of the block-rows, residue-rows and cubic-product
+        # rows, and the S_7 of the len7 brute force, hold a transposition
+        built = []
+        real = group_module.PermGroup
+
+        def recording(gens, degree=None):
+            group = real(gens, degree)
+            built.append((group.degree, group.order()))
+            return group
+
+        monkeypatch.setattr(group_module, "PermGroup", recording)
+        cache = {}
+        for entry in ENTRIES.values():
+            assert run_entry(entry, cache=cache).passed, entry["name"]
+        assert built and all(order < math.factorial(degree) for degree, order in built)
+
+
 class TestDeclines:
-    """Each case must fall back to the chain.  n = 9 has the one system
+    """Each case must fall back to the chain, or to the transposition
+    test when a generator is a transposition.  n = 9 has the one system
     mod 3, so no other partition can take over."""
 
     K = C = 3
     N = 9
 
-    def _falls_back(self, gens):
+    def _falls_back(self, gens, path="chain"):
         assert block_order(gens, self.N) is None
         order, details = exact_order(gens, self.N)
-        assert details["path"] == "chain"
+        assert details["path"] == path
         assert order == PermGroup(gens, degree=self.N).order()
         return order
 
@@ -389,7 +458,7 @@ class TestDeclines:
         gens.append(_top([1, 2, 0], list(range(k)), c, k))
         assert block_order(gens, self.N)[0] == 3 * math.factorial(k) ** c
         breaker = Permutation((1, 0) + tuple(range(2, self.N)))  # points 0, 1: classes 0, 1
-        assert self._falls_back(gens + [breaker]) == math.factorial(self.N)
+        assert self._falls_back(gens + [breaker], "symmetric") == math.factorial(self.N)
 
     def test_degrees_without_a_proper_divisor(self):
         for n in (0, 1, 2, 3, 5, 7):

@@ -1,42 +1,23 @@
 """Chain-identity regression: the stabilizer chains of two default-manifest
-groups and of the n = 186 block-rows group are pinned (base, orbit sizes,
-order, seeded random elements), so any change to how the chain is built
-must reproduce it exactly.
+groups and of the n = 186 block-rows group (from the 72 generators of
+`test_group._block_rows_186`) are pinned (base, orbit sizes, order,
+seeded random elements), so any change to how the chain is built must
+reproduce it exactly.
 
 The random elements are pinned by a SHA-256 prefix of their cycle
 notation; `random_element` walks the chain's transversals in order, so it
 changes whenever a transversal or the orbit order changes."""
 
 import hashlib
-import json
 import math
 
 import pytest
+from test_group import _block_rows_186
 
 from cycaut.group import PermGroup
-from cycaut.manifest import (
-    _code_for,
-    default_manifest_path,
-    expand_constructions,
-    extended_manifest_path,
-    load_manifest,
-)
+from cycaut.manifest import _code_for, default_manifest_path, expand_constructions, load_manifest
 
 ENTRIES = {e["name"]: e for e in load_manifest(default_manifest_path())}
-
-
-def block_rows_entry(k):
-    """The extended len961 claim (k = 31) with k rows: n = 31k."""
-    entry = json.loads(json.dumps(load_manifest(extended_manifest_path())[0]))
-    entry["n"] = 31 * k
-    for spec in entry["construction"]:
-        spec["k"] = k
-    return entry
-
-
-# The group of the chain-membership benchmark: (S_6)^31 extended by the
-# 310 column maps of the [31, 21] code.
-ENTRIES["len186-block-rows"] = block_rows_entry(6)
 
 PINNED = {
     "len49-block-rows": {
@@ -76,6 +57,8 @@ PINNED = {
 
 
 def _group(name):
+    if name == "len186-block-rows":
+        return PermGroup(_block_rows_186(), degree=186)
     entry = ENTRIES[name]
     code = _code_for(entry["n"], entry["generator"])
     gens = expand_constructions(code, entry["construction"], {})

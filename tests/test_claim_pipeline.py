@@ -28,7 +28,7 @@ from cycaut.manifest import (
     run_entry,
 )
 from cycaut.perm import Permutation
-from cycaut.verify import is_automorphism
+from cycaut.verify import is_automorphism, verify_claim
 
 ROOT = Path(__file__).resolve().parent.parent
 F = math.factorial
@@ -106,6 +106,33 @@ def test_shift_and_multipliers_have_order_n_times_units():
             assert exact_order(gens, n)[0] == n * len(multiplier_subgroup(code)), (n, g)
             checked += 1
     assert checked == 929  # 927 with 2 <= n <= 31, and g = 1, x+1 at n = 1
+
+
+def _unit_closure(units, n):
+    """The units mod n that products of the given ones reach, with 1."""
+    closure = {1}
+    while True:
+        grown = closure | {x * a % n for x in closure for a in units}
+        if grown == closure:
+            return closure
+        closure = grown
+
+
+def test_multipliers_are_a_generating_set_of_the_units():
+    """The `multipliers` construction lists a generating set of the
+    preserving units U, in ascending order, each outside the closure of
+    the ones before it; verify_claim still finds n * |U|."""
+    for n in range(1, 32):
+        for g in divisors_of_xn_minus_1(n):
+            code = CyclicCode(n, g)
+            units = multiplier_subgroup(code)
+            kept = [p.images[1] for _, p in expand_constructions(code, [{"kind": "multipliers"}])]
+            assert kept == sorted(kept), (n, g)
+            for i, a in enumerate(kept):
+                assert a not in _unit_closure(kept[:i], n), (n, g, a)
+            assert _unit_closure(kept, n) == set(units), (n, g)
+            report = verify_claim(code, expand_constructions(code, SHIFT_MULTIPLIERS), n * len(units))
+            assert report.passed and report.computed_order == n * len(units), (n, g)
 
 
 class TestSquaredQuinticRow:

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import json
 import math
 from random import Random
 from unittest import mock
@@ -9,9 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cycaut.group as group_module
-from cycaut.construct import block_row_generators, lifted_column_perm, shift
+from cycaut.construct import (
+    block_row_generators,
+    lifted_column_perm,
+    multiplier,
+    multiplier_subgroup,
+    shift,
+)
 from cycaut.group import PermGroup, count_and_sift, filter_generators
-from cycaut.manifest import _code_for, expand_constructions, extended_manifest_path, load_manifest
+from cycaut.manifest import _code_for
 from cycaut.perm import Permutation, parse_cycles
 
 
@@ -243,8 +248,8 @@ class TestBasePairSkip:
             assert grp._chain.stored == {g for lvl in grp._chain.levels for g, _, _ in lvl.gens}
 
     def test_block_rows_sifts_few_schreier_generators(self):
-        # The n = 186 block-rows group of the chain-membership benchmark
-        # has 42,266 Schreier pairs; without the skips 33,868 of them are
+        # The n = 186 block-rows group from the 72 generators below has
+        # 42,266 Schreier pairs; without the skips 33,868 of them are
         # sifted, with them 639.
         grp = PermGroup(_block_rows_186(), degree=186)
         assert grp.order() == 310 * math.factorial(6) ** 31
@@ -253,14 +258,16 @@ class TestBasePairSkip:
 
 
 def _block_rows_186():
-    """The generators of the n = 186 block-rows group of the
-    chain-membership benchmark: the extended len961 claim with 6 rows."""
-    entry = json.loads(json.dumps(load_manifest(extended_manifest_path())[0]))
-    entry["n"] = 186
-    for spec in entry["construction"]:
-        spec["k"] = 6
-    code = _code_for(entry["n"], entry["generator"])
-    return [p for _, p in expand_constructions(code, entry["construction"], {})]
+    """72 generators of the n = 186 block-rows group, (S_6)^31 extended
+    by the 310 column maps of the [31, 21] code: the 62 block rows, then
+    the lifts of the shift and of every preserving multiplier other than
+    1, in ascending order.  The `multipliers` construction lists only a
+    generating set of those units, so the expansion of the extended
+    len961 claim with 6 rows gives 65 generators of the same group; the
+    chains pinned on this group are the ones built from all 72."""
+    code = _code_for(31, "(x^5+x^2+1)(x^5+x^3+1)")
+    taus = [shift(31)] + [multiplier(a, 31) for a in multiplier_subgroup(code) if a != 1]
+    return block_row_generators(6, 31) + [lifted_column_perm(t, 6) for t in taus]
 
 
 @st.composite
