@@ -19,10 +19,11 @@ import json
 import os
 import sys
 
-from .code import MAX_ENUMERATION_DIM, CyclicCode
+from .code import MAX_ENUMERATION_DIM
 from .construct import multiplier_subgroup
-from .gf2poly import factor_xn_minus_1, parse_poly_product
+from .gf2poly import factor_xn_minus_1
 from .manifest import (
+    _code_for,
     default_manifest_path,
     expand_constructions,
     load_manifest,
@@ -103,7 +104,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_code_info(args) -> int:
-    code = CyclicCode(args.n, parse_poly_product(args.generator))
+    code = _code_for(args.n, args.generator)
     lines = [f"[{code.length},{code.dimension}]"]
     lines.append(f"generator: {code.generator}")
     lines.append(f"check: {code.check}")
@@ -127,7 +128,7 @@ def _cmd_code_info(args) -> int:
 
 
 def _cmd_aut_brute(args) -> int:
-    code = CyclicCode(args.n, parse_poly_product(args.generator))
+    code = _code_for(args.n, args.generator)
     count, reduced = brute_force_group(code)
     lines = [str(count)]
     payload = {"n": args.n, "generator": str(code.generator), "order": str(count)}
@@ -146,7 +147,7 @@ def _cmd_aut_construct(args) -> int:
         with open(args.spec_file, encoding="utf-8") as fh:
             where, text = "--spec-file", fh.read()
     specs = parse_json(text, where)
-    code = CyclicCode(args.n, parse_poly_product(args.generator))
+    code = _code_for(args.n, args.generator)
     validate_constructions(specs, code.length, where)
     expected = None if args.expect is None else parse_order(args.expect, "--expect")
     generators = expand_constructions(code, specs, cache={})
@@ -172,7 +173,7 @@ def _cmd_multipliers(args) -> int:
     """The units U that preserve the code, and the order n*|U| of the
     group they generate with the shift: U is a group, so <shift, U> is
     {i -> a*i + b : a in U}."""
-    code = CyclicCode(args.n, parse_poly_product(args.generator))
+    code = _code_for(args.n, args.generator)
     units = multiplier_subgroup(code)
     order = code.length * len(units)
     lines = [

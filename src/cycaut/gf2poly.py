@@ -290,20 +290,26 @@ def parse_poly(text: str) -> Gf2Poly:
     return Gf2Poly(bits)
 
 
-def parse_poly_product(text: str) -> Gf2Poly:
+def parse_poly_product(text: str, max_degree: int | None = None) -> Gf2Poly:
     """Parse either the plain sum grammar or a product form
-    "(f1)(f2)...", each factor optionally raised with "^k"."""
+    "(f1)(f2)...", each factor optionally raised with "^k".  A product
+    of degree above max_degree, when given, raises ValueError before its
+    factors are multiplied out."""
     s = "".join(text.split())
     if "(" not in s:
-        return parse_poly(s)
-    pos = 0
+        factors = [(parse_poly(s), 1)]
+    else:
+        factors, pos = [], 0
+        while pos < len(s):
+            m = _FACTOR_RE.match(s, pos)
+            if not m:
+                raise ValueError(f"bad polynomial product near {s[pos:]!r}")
+            factors.append((parse_poly(m.group(1)), int(m.group(2) or 1)))
+            pos = m.end()
+    degree = sum(f.degree * power for f, power in factors if f)
+    if max_degree is not None and degree > max_degree:
+        raise ValueError(f"generator degree {degree} exceeds the length {max_degree}")
     acc = ONE
-    while pos < len(s):
-        m = _FACTOR_RE.match(s, pos)
-        if not m:
-            raise ValueError(f"bad polynomial product near {s[pos:]!r}")
-        factor = parse_poly(m.group(1))
-        power = int(m.group(2)) if m.group(2) else 1
-        acc = acc * factor**power
-        pos = m.end()
+    for f, power in factors:
+        acc = acc * (f if power == 1 else f**power)
     return acc

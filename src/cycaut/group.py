@@ -48,7 +48,8 @@ S_4 at base 1, the pairs of (2,3) alone would give a stabilizer of order
 the chain is the same with or without them.  A pair that is composed is
 composed in two steps, t = s u_p and then sigma = u_{s(p)}^-1 t, and
 sigma is the identity iff t = u_{s(p)}, which is tested between the two:
-on the n = 186 block-rows group, 3,227 of the 4,343 pairs composed are
+on the n = 186 block-rows group built from its 72 generators (the one
+`tests/test_group.py` pins), 3,227 of the 4,343 pairs composed are
 dropped that way before their second composition.
 
 When s fixes p but shares moved points with u_p, sigma = u_p^-1 s u_p is
@@ -60,24 +61,19 @@ generator: such a generator moves as many points as s, so it is sparse
 too, and the chain keeps the set of (point, image) pairs of every sparse
 stored generator, as a frozenset over the points it moves.  sigma is a
 stored generator iff its pair set is in that set.  Only when it is not
-is sigma written out, into a copy of the identity at its moved points,
-and sifted; it is not the identity, being a conjugate of s.  Each level
-keeps, beside its generators, two itemgetters per sparse one, over its
-moved points and over their images.  Looking sigma up in `stored`
-instead would cost a tuple of n points and its hash per pair, and on the
-n = 186 block-rows group 14,445 of the 14,807 such pairs are stored
-generators.
+is sigma composed, as u_p^-1 (s u_p), and sifted; it is not the
+identity, being a conjugate of s.  Each level keeps, beside its
+generators, two itemgetters per sparse one, over its moved points and
+over their images.  The look-up costs time in proportion to the points
+s moves, where looking sigma up in `stored` would cost two compositions,
+a tuple of n points and its hash per pair; on the 72-generator n = 186
+block-rows group 14,445 of the 14,807 such pairs are stored generators.
 
-Sparse means that at most a quarter of the points move.  The look-up
-costs time in proportion to the m points s moves; writing sigma out
-costs a copy of the identity, m assignments and a tuple of n, against
-the two compositions it replaces, which breaks even near m = n/2, well
-above the rule.  The rule leaves every chain of degree < 8 dense, and
+Sparse means that at most a quarter of the points move
+(`_sparse_moves`).  The rule leaves every chain of degree < 8 dense, and
 all of GL(r, 2) on the 2^r - 1 nonzero vectors, whose non-identity
 elements move at least 2^(r-1) of them; the per-column generators of the
-block rows, k of n = 31k points, are sparse.  The automorphism test
-of `cycaut.verify` uses the same rule (`_sparse_moves`) to test a
-permutation by the points it moves.
+block rows, k of n = 31k points, are sparse.
 
 A pass over a level's pairs returns as soon as it finds a residue, and
 the level is passed over again, from its first generator, once the
@@ -158,11 +154,11 @@ def _support(a: tuple[int, ...], identity: tuple[int, ...]) -> int:
     return int.from_bytes(bytes(map(ne, a, identity)), "little")
 
 
-def _sparse_moves(a: tuple[int, ...], identity: tuple[int, ...] | range) -> tuple[int, ...] | None:
+def _sparse_moves(a: tuple[int, ...], identity: tuple[int, ...]) -> tuple[int, ...] | None:
     """The points a moves, in increasing order, when they are at most a
-    quarter of the points; else None.  This is the sparsity rule: such a
-    permutation is handled by the points it moves, here and in the
-    automorphism test (see the module docstring)."""
+    quarter of the points; else None.  This is the chain's sparsity rule:
+    such a generator's conjugates are looked up by the points they move
+    (see the module docstring)."""
     moved = tuple(itertools.compress(identity, map(ne, a, identity)))
     return moved if 4 * len(moved) <= len(identity) else None
 
@@ -348,10 +344,7 @@ class _Chain:
                     points, images = at(upinv), to(upinv)
                     if frozenset(zip(points, images)) in sparse_stored:
                         continue  # sigma is a stored generator
-                    sig = list(identity)
-                    for x, y in zip(points, images):
-                        sig[x] = y
-                    sigma = tuple(sig)
+                    sigma = _mul(upinv, _mul(s, up))
                 else:
                     t = _mul(s, up)
                     usp, uspinv, _ = orbit[sp]

@@ -390,7 +390,8 @@ def _check_brute_length(n: int, where: str) -> None:
 
 
 def _code_for(n: int, generator_text: str) -> CyclicCode:
-    return CyclicCode(n, parse_poly_product(generator_text))
+    """The length-n code of a generator text, refused above degree n."""
+    return CyclicCode(n, parse_poly_product(generator_text, max_degree=n))
 
 
 def expand_source(source: dict, cache: dict | None = None) -> list[Permutation]:

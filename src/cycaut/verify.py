@@ -18,11 +18,11 @@ code, `_automorphism_test`, tabulates the syndromes and returns two tests
 over the same tables: a row test, which rejects at the first row whose
 image has a non-zero syndrome, and a moved-points test, whose cost is in
 proportion to the points a permutation moves; its docstring gives both.
-`is_automorphism` lists the moved points once and takes the moved-points
-test when they are at most a quarter of the points, the sparsity rule of
-the stabilizer chain (`group._sparse_moves`); callers that test dense
-permutations in bulk (brute force, negative sampling and the multiplier
-scan) call the row test directly.
+The policy: screen candidates with rows, prove generators with moved
+points.  Brute force, negative sampling and the multiplier scan call the
+row test, as their candidates mostly fail at the first row;
+`is_automorphism` proves generators, which mostly pass, and runs the
+moved-points test on every permutation, dense or not.
 
 Brute force filters the image tuples of `itertools.permutations` through
 the kernel and streams the survivors into `group.count_and_sift`, one
@@ -41,13 +41,13 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter, xor
+from operator import itemgetter, ne, xor
 from random import Random
 from time import perf_counter
 
 from .code import CyclicCode
 from .gf2poly import Gf2Poly
-from .group import _sparse_moves, count_and_sift, exact_order
+from .group import count_and_sift, exact_order
 from .perm import Permutation
 
 # The longest code that brute force enumerates S_n for, wherever it is
@@ -60,18 +60,13 @@ def is_automorphism(code: CyclicCode, p: Permutation) -> bool:
 
     Tested on the smaller of the code and its dual, which have the same
     automorphisms: the image of each of its min(k, n - k) basis rows must
-    have syndrome 0.  A p that moves at most a quarter of the points is
-    tested by the points it moves, any other one row by row, so most
-    non-automorphisms are rejected by the first row (see
+    have syndrome 0.  It proves generators, which mostly pass, so it runs
+    the moved-points test, whose cost follows the points p moves, and
+    never the row test, which screens candidates that mostly fail (see
     `_automorphism_test`)."""
     if p.degree != code.length:
         raise ValueError("permutation degree does not match code length")
-    maps_into, moved_maps_into = _automorphism_test(code)
-    images = p.images
-    moved = _sparse_moves(images, range(len(images)))
-    if moved is not None:
-        return moved_maps_into(images, moved)
-    return maps_into(images)
+    return _automorphism_test(code)[1](p.images)
 
 
 # Lane-packed syndromes of at most this many bits keep `sum` on its
@@ -81,9 +76,10 @@ _WORD_BITS = 62
 
 def _automorphism_test(code: CyclicCode):
     """The row test and the moved-points test of whether a permutation
-    maps the cyclic code into itself: predicates on its images, and on
-    its images and the points it moves.  Equal codes share one kernel,
-    cached by n and the bits of g: ints hash faster than the code.
+    maps the cyclic code into itself, both predicates on its images: the
+    row test screens candidates, the moved-points test proves generators.
+    Equal codes share one kernel, cached by n and the bits of g: ints
+    hash faster than the code.
 
     D is the code if its dimension k <= n - k, else the dual code,
     generated by the reciprocal of the code's check polynomial h =
@@ -110,16 +106,18 @@ def _automorphism_test(code: CyclicCode):
     A permutation p fixes every point it does not move, so for every row
     r, p(r) + r is the sum of e_x + e_p(x) over the points x of r that p
     moves, and the syndrome of p(r) is the XOR of s_x ^ s_p(x) over them
-    (r itself has syndrome 0).  The moved-points test adds each moved
-    point's s_x ^ s_p(x) into the syndromes of the rows that hold it, and
-    p passes iff they all end at 0."""
+    (r itself has syndrome 0).  The moved-points test finds the moved
+    points with one `itertools.compress` scan, adds each one's
+    s_x ^ s_p(x) into the syndromes of the rows that hold it, and p passes
+    iff they all end at 0."""
     return _kernel(code.length, code.generator.bits)
 
 
 # Bounded, so that a sweep over many codes keeps only the latest tables.
 @functools.lru_cache(maxsize=64)
 def _kernel(n: int, g: int):
-    """`_automorphism_test` of the length-n code generated by the bits g."""
+    """`_automorphism_test` of the length-n code generated by the bits g:
+    the row test screens candidates, the moved-points test proves."""
     code = CyclicCode(n, Gf2Poly(g))
     k = code.dimension
     if 2 * k <= n:
@@ -148,6 +146,7 @@ def _kernel(n: int, g: int):
     else:
         table, combine, mask = syndromes, functools.partial(functools.reduce, xor), -1
     syndrome = table.__getitem__
+    points = range(n)
 
     def maps_into(images) -> bool:
         for row in rows:
@@ -155,10 +154,10 @@ def _kernel(n: int, g: int):
                 return False
         return True
 
-    def moved_maps_into(images, points) -> bool:
+    def moved_maps_into(images) -> bool:
         # the syndrome of p(r_j) is the XOR of s_x ^ s_p(x) over the moved x in r_j
         acc = [0] * rank
-        for x in points:
+        for x in itertools.compress(points, map(ne, images, points)):
             d = syndromes[x] ^ syndromes[images[x]]
             for j in holding[x]:
                 acc[j] ^= d
@@ -224,8 +223,8 @@ def sample_outside(code: CyclicCode, generators, order: int, trials: int, seed: 
     The automorphism test runs first: it rejects almost every draw on its
     first row, and only automorphisms need `exact_order` of G and the
     draw, and are wrapped as permutations.  The count does not depend on
-    the order of the two tests.  The draws are dense, so they take the
-    row test directly."""
+    the order of the two tests.  The draws are candidates, screened by
+    the row test."""
     if any(g.degree != code.length for g in generators):
         raise ValueError("generator degree does not match code length")
     rng = Random(seed)

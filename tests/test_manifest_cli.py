@@ -92,6 +92,15 @@ class TestCodeInfoCommand:
         assert code == 2
         assert "remainder" in err
 
+    def test_oversized_generator_is_refused_unbuilt(self, capsys):
+        # multiplied out, (x+1)^4194303 would take minutes and print megabytes
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "code-info", "7", "(x+1)^4194303")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: generator degree 4194303 exceeds the length 7\n"
+        assert len(err) < 200
+
 
 class TestAutBruteCommand:
     def test_hamming(self, capsys):
@@ -468,6 +477,20 @@ class TestManifestSchema:
         with pytest.raises(ValueError, match=f"^{message}$"):
             load_manifest(str(path))
         assert time.perf_counter() - t0 < 1.0
+
+    def test_refuses_an_oversized_generator_unbuilt(self, tmp_path):
+        entry = {
+            "name": "huge-g", "n": 7, "generator": "(x+1)^4194303",
+            "expected_order": "168", "method": "brute",
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps([entry]))
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            load_manifest(str(path))
+        assert time.perf_counter() - t0 < 1.0
+        assert str(info.value) == "entry 'huge-g': generator degree 4194303 exceeds the length 7"
+        assert len(str(info.value)) < 200
 
     @staticmethod
     def _load_one(tmp_path, change=None):

@@ -180,13 +180,12 @@ def _agree(code, images):
     on its dual."""
     n = code.length
     rows_test, moved_test = verify_module._automorphism_test(code)
-    moved = [x for x in range(n) if images[x] != x]
-    got = moved_test(images, moved)
+    got = moved_test(images)
     assert got == rows_test(images), (n, str(code.generator), images)
     assert got == _maps_rows_into_code(code, Permutation(images)), (n, str(code.generator), images)
     dual = _dual(code)
     dual_rows, dual_moved = verify_module._automorphism_test(dual)
-    assert dual_moved(images, moved) == dual_rows(images) == got
+    assert dual_moved(images) == dual_rows(images) == got
     return got
 
 
@@ -194,8 +193,8 @@ class TestMovedPointsTest:
     """The moved-points test of `_automorphism_test` must agree with its
     row test, and with the reference, on sparse permutations, both
     automorphisms and not, for every code of the lengths below (which
-    include g = 1 and g = x^n+1) and its dual; `is_automorphism` takes it
-    by the chain's sparsity rule."""
+    include g = 1 and g = x^n+1) and its dual; `is_automorphism` runs it
+    on every permutation, dense ones too."""
 
     @pytest.mark.parametrize("n", [*range(1, 16), 21, 31])
     def test_agrees_on_every_divisor(self, n):
@@ -250,8 +249,9 @@ class TestMovedPointsTest:
         swap[0], swap[1] = 1, 0
         assert not is_automorphism(code, Permutation(tuple(swap)))
 
-    def test_is_automorphism_follows_the_sparsity_rule(self, monkeypatch):
-        # 4 of 16 points moved: the moved-points test; 5 of 16: the rows
+    def test_is_automorphism_runs_only_the_moved_points_test(self, monkeypatch):
+        # 4, 5 and all 16 of 16 points moved: the moved-points test every
+        # time, on exactly the points p moves, and never the row test
         code = CyclicCode(16, parse_poly("x+1"))
         real = verify_module._automorphism_test
         calls = []
@@ -263,18 +263,37 @@ class TestMovedPointsTest:
                 calls.append("rows")
                 return rows_test(images)
 
-            def moved(images, points):
-                points = list(points)
-                calls.append(points)
-                return moved_test(images, points)
+            def moved(images):
+                calls.append([x for x, y in enumerate(images) if x != y])
+                return moved_test(images)
 
             return rows, moved
 
         monkeypatch.setattr(verify_module, "_automorphism_test", spying)
-        four = parse_cycles("(1,2)(5,9)", 16)
-        five = parse_cycles("(1,2,3,4,5)", 16)
-        assert is_automorphism(code, four) and is_automorphism(code, five)
-        assert calls == [[0, 1, 4, 8], "rows"]
+        perms = [parse_cycles("(1,2)(5,9)", 16), parse_cycles("(1,2,3,4,5)", 16), shift(16)]
+        assert all(is_automorphism(code, p) for p in perms)
+        assert calls == [[0, 1, 4, 8], [0, 1, 2, 3, 4], list(range(16))]
+
+    def test_agrees_with_the_reference_on_all_of_s7(self):
+        # dense permutations too: every divisor of x^7+1 on all 5040
+        everything = [Permutation(images) for images in itertools.permutations(range(7))]
+        for g in divisors_of_xn_minus_1(7):
+            code = CyclicCode(7, g)
+            for p in everything:
+                assert is_automorphism(code, p) == _maps_rows_into_code(code, p), (str(g), str(p))
+
+    def test_dense_generators_of_the_block_rows(self):
+        # the lifts of the shift and of the two multipliers of the [31, 21]
+        # code move every point of 961; the shift after one transposition
+        # is dense and not an automorphism
+        code = CyclicCode(961, parse_poly_product("(x^5+x^2+1)(x^5+x^3+1)"))
+        inner = {"source": "shift_multipliers", "n": 31, "generator": "(x^5+x^2+1)(x^5+x^3+1)"}
+        lifts = expand_constructions(code, [{"kind": "lifted_column", "k": 31, "inner": inner}])
+        assert len(lifts) == 3
+        for _, p in lifts:
+            assert 4 * sum(x != y for x, y in enumerate(p.images)) > 961
+            assert is_automorphism(code, p)
+        assert not is_automorphism(code, shift(961) * parse_cycles("(1,2)", 961))
 
 
 _DIVISORS_62 = divisors_of_xn_minus_1(62)
