@@ -23,7 +23,8 @@ permutations of the flat coordinates:
 Block rows are the residue layout transposed (coordinate j + i*cols is
 column j of block row i and column i of residue row j), so the two
 primitives `residue_lift` and `row_permutation` build both layouts, alone
-check their ranges, and wrap what they build unsorted (see `cycaut.perm`).
+check their ranges, and wrap what they build unsorted, with its moved
+points read off those of the permutation they lift (see `cycaut.perm`).
 """
 
 from __future__ import annotations
@@ -66,27 +67,33 @@ def lifted_column_perm(tau: Permutation, k: int) -> Permutation:
 def residue_lift(alpha: Permutation, at_row: int, rows: int) -> Permutation:
     """Permute the columns of one residue row: coordinate
     (at_row-1) + (b-1)*rows maps via b -> alpha(b); everything else is
-    fixed.  alpha has degree cols, the result degree rows*cols."""
+    fixed.  alpha has degree cols, the result degree rows*cols.  The
+    result moves (at_row-1) + (b-1)*rows iff alpha moves b, so its moved
+    points are read off alpha's."""
     if not 1 <= at_row <= rows:
         raise ValueError(f"row {at_row} out of range 1..{rows}")
-    cols = alpha.degree
-    images = list(range(rows * cols))
+    images = list(range(rows * alpha.degree))
     r = at_row - 1
-    for b in range(cols):
-        images[r + b * rows] = r + alpha.images[b] * rows
-    return Permutation._trusted(tuple(images))
+    moved = []
+    for b in alpha.moved:
+        x = r + b * rows
+        images[x] = r + alpha.images[b] * rows
+        moved.append(x)
+    return Permutation._trusted(tuple(images), tuple(moved))
 
 
 def row_permutation(beta: Permutation, cols: int) -> Permutation:
     """Permute whole residue rows: coordinate (a-1) + (b-1)*rows maps via
-    a -> beta(a) in every column.  beta has degree rows."""
+    a -> beta(a) in every column.  beta has degree rows.  The result
+    moves (a-1) + (b-1)*rows iff beta moves a, so its moved points are
+    read off beta's."""
     if cols < 1:
         raise ValueError("need at least one column")
     rows = beta.degree
-    images = []
-    for b in range(cols):
-        images.extend(beta.images[r] + b * rows for r in range(rows))
-    return Permutation._trusted(tuple(images))
+    starts = range(0, rows * cols, rows)  # column b starts at the point b*rows
+    images = [s + y for s in starts for y in beta.images]
+    moved = [s + a for s in starts for a in beta.moved]
+    return Permutation._trusted(tuple(images), tuple(moved))
 
 
 def interleaved_lift(sigma: Permutation, row: int) -> Permutation:

@@ -92,11 +92,16 @@ chain of their degree.  Split the points 0..n-1 into the c residue
 classes mod c, each of size k = n/c.  When every generator maps classes
 onto classes, the group G acts on the classes, with image G^D (the block
 action) and kernel K, so |G| = |G^D| * |K|, and K lies inside the product
-of the symmetric groups Sym(B) of the classes B.  A generator g maps
-classes onto classes iff its vector of classes, g(y) mod c over the
-points y, repeats its first c entries k times, which list operations
-decide without a loop per point; those first entries are its action on
-the classes, and duplicate actions are dropped before the degree-c work.
+of the symmetric groups Sym(B) of the classes B.  Whether a generator g
+maps classes onto classes is decided from the points it moves
+(`Permutation.moved`) alone.  A class that holds a fixed point can only
+map to itself, so each of its moved points must map into it.  A class
+moved whole must map to the class of its first point's image, and so
+must each of its points.  Since g is a bijection and the classes have
+one size, that suffices, and the cost follows the points g moves, not
+n: on the paper's long codes most generators move a few points of one
+class.  The classes mapped to others give g's action on the classes,
+and duplicate actions are dropped before the degree-c work.
 When some generators that move the points of one class B only generate
 all of Sym(B), then G contains Sym(B), and so its conjugates Sym(g(B))
 for every g in G.  When one of those generators is a transposition,
@@ -464,7 +469,8 @@ def block_order(generators, degree: int) -> tuple[int, dict] | None:
     (see the module docstring), or None when no system mod c, 1 < c <
     degree, meets the conditions.  The details name the classes, their
     size and the order of the block action."""
-    gens = _images(generators, degree)
+    gens = list(generators)
+    _images(gens, degree)  # raises on mixed degrees
     for c in range(degree - 1, 1, -1):  # small classes first: cheaper Sym checks
         if degree % c == 0:
             found = _residue_block_order(gens, degree, c)
@@ -474,25 +480,30 @@ def block_order(generators, degree: int) -> tuple[int, dict] | None:
 
 
 def _residue_block_order(gens, n: int, c: int) -> tuple[int, dict] | None:
+    """`block_order` through the classes mod c, for permutations of
+    degree n; None when a generator splits a class or the conditions
+    fail."""
     k = n // c
-    points = range(n)
-    fixed = list(range(c))
-    mod, div = c.__rmod__, c.__rfloordiv__  # y -> y % c, y -> y // c
-    tops = []
+    div = c.__rfloordiv__  # y -> y // c
+    fixed = tuple(range(c))
+    tops: dict[tuple[int, ...], None] = {}  # the distinct actions on the classes, in order
     local: list[list[tuple[int, ...]]] = [[] for _ in range(c)]
     for g in gens:
-        # g maps classes onto classes iff its class vector repeats with period c
-        mods = list(map(mod, g))
-        top = mods[:c]
-        if mods != top * k:
+        classes = _class_moves(g, c)
+        if classes is None:
             return None
-        if top == fixed:
-            moved = set(map(mod, itertools.compress(points, map(ne, g, points))))
-            if len(moved) == 1:
-                j = moved.pop()
-                # g moves class j alone: its images there, divided by c, permute 0..k-1
-                local[j].append(tuple(map(div, g[j::c])))
-        tops.append(tuple(top))
+        if len(classes) == 1:
+            # g moves class j alone, so maps it to itself (a class mapped
+            # elsewhere moves its image class too): its images there,
+            # divided by c, permute 0..k-1
+            (j,) = classes
+            local[j].append(tuple(map(div, g.images[j::c])))
+            tops[fixed] = None
+        else:
+            top = list(fixed)
+            for j, t in classes.items():
+                top[j] = t
+            tops[tuple(top)] = None
     full: set[int] = set()
     symmetric: dict[tuple, bool] = {}  # restricted images -> generate Sym(k)
     for j, restricted in enumerate(local):
@@ -503,13 +514,31 @@ def _residue_block_order(gens, n: int, c: int) -> tuple[int, dict] | None:
             symmetric[key] = _generates_symmetric(key, k)
         if symmetric[key]:
             full.add(j)
-    tops = list(dict.fromkeys(tops))
     if len(_orbit(full, lambda j: [top[j] for top in tops])) < c:
         return None
     # a bijection that maps classes onto classes permutes them
     top_order = exact_order([Permutation._trusted(t) for t in tops], c)[0]
     details = {"path": "blocks", "classes": c, "block_size": k, "top_order": str(top_order)}
     return top_order * factorial(k) ** c, details
+
+
+def _class_moves(g: Permutation, c: int) -> dict[int, int] | None:
+    """Each class mod c that holds a point g moves, mapped to the class g
+    maps it onto; None when g splits a class over two or more.  Read
+    off the moved points alone (see the module docstring): a class that
+    holds a fixed point must map to itself, a class moved whole maps to
+    the class of its first point's image."""
+    images = g.images
+    onto: dict[int, int] = {}
+    for x in g.moved:
+        t = images[x] % c
+        if onto.setdefault(x % c, t) != t:
+            return None  # two points of one class map to two classes
+    n = len(images)
+    for j, t in onto.items():
+        if t != j and not all(map(ne, images[j::c], range(j, n, c))):
+            return None  # class j holds a fixed point but maps elsewhere
+    return onto
 
 
 def _generates_symmetric(perms: tuple[tuple[int, ...], ...], k: int) -> bool:

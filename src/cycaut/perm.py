@@ -8,12 +8,20 @@ the full cycle (1,2,...,n) exactly the right cyclic shift.
 Each permutation is checked once: `Permutation(...)` and `parse_cycles`
 check input from outside the package, and `Permutation._trusted` wraps,
 unsorted, a permutation the package builds, which is one by construction.
+
+Each permutation's moved points, `moved`, are found once: by one scan of
+its images on first use, or given exactly by the primitive that built it
+(`_trusted` takes them), as the layouts of `cycaut.construct` do, which
+read them off the small permutation they lift.  They are not part of the
+value: equality, hashing and repr read the images alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import ne
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -31,17 +39,32 @@ class Permutation:
     """Bijection on {0, ..., degree-1}, stored as the tuple of images."""
 
     images: tuple[int, ...]
+    # `moved` once known: given to `_trusted`, or found on first use
+    _moved: tuple[int, ...] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError("images are not a permutation")
 
     @classmethod
-    def _trusted(cls, images: tuple[int, ...]) -> Permutation:
-        """Wrap images that are a permutation by construction, unsorted."""
+    def _trusted(cls, images: tuple[int, ...], moved: tuple[int, ...] | None = None) -> Permutation:
+        """Wrap images that are a permutation by construction, unsorted,
+        with its moved points when the caller knows them exactly."""
         p = object.__new__(cls)
         object.__setattr__(p, "images", images)
+        object.__setattr__(p, "_moved", moved)
         return p
+
+    @property
+    def moved(self) -> tuple[int, ...]:
+        """The points moved, in increasing order, found by one scan of the
+        images on first use unless `_trusted` was given them."""
+        moved = self._moved
+        if moved is None:
+            points = range(len(self.images))
+            moved = tuple(itertools.compress(points, map(ne, self.images, points)))
+            object.__setattr__(self, "_moved", moved)
+        return moved
 
     @property
     def degree(self) -> int:
@@ -49,7 +72,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> Permutation:
-        return cls._trusted(tuple(range(degree)))
+        return cls._trusted(tuple(range(degree)), ())
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))

@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter, ne, xor
+from operator import itemgetter, xor
 from random import Random
 from time import perf_counter
 
@@ -61,12 +61,12 @@ def is_automorphism(code: CyclicCode, p: Permutation) -> bool:
     Tested on the smaller of the code and its dual, which have the same
     automorphisms: the image of each of its min(k, n - k) basis rows must
     have syndrome 0.  It proves generators, which mostly pass, so it runs
-    the moved-points test, whose cost follows the points p moves, and
-    never the row test, which screens candidates that mostly fail (see
-    `_automorphism_test`)."""
+    the moved-points test on `p.moved`, at a cost that follows the points
+    p moves, and never the row test, which screens candidates that mostly
+    fail (see `_automorphism_test`)."""
     if p.degree != code.length:
         raise ValueError("permutation degree does not match code length")
-    return _automorphism_test(code)[1](p.images)
+    return _automorphism_test(code)[1](p.images, p.moved)
 
 
 # Lane-packed syndromes of at most this many bits keep `sum` on its
@@ -76,8 +76,9 @@ _WORD_BITS = 62
 
 def _automorphism_test(code: CyclicCode):
     """The row test and the moved-points test of whether a permutation
-    maps the cyclic code into itself, both predicates on its images: the
-    row test screens candidates, the moved-points test proves generators.
+    maps the cyclic code into itself: the row test, a predicate on its
+    images, screens candidates; the moved-points test, a predicate on its
+    images and the points it moves, proves generators.
     Equal codes share one kernel, cached by n and the bits of g: ints
     hash faster than the code.
 
@@ -106,10 +107,11 @@ def _automorphism_test(code: CyclicCode):
     A permutation p fixes every point it does not move, so for every row
     r, p(r) + r is the sum of e_x + e_p(x) over the points x of r that p
     moves, and the syndrome of p(r) is the XOR of s_x ^ s_p(x) over them
-    (r itself has syndrome 0).  The moved-points test finds the moved
-    points with one `itertools.compress` scan, adds each one's
-    s_x ^ s_p(x) into the syndromes of the rows that hold it, and p passes
-    iff they all end at 0."""
+    (r itself has syndrome 0).  The moved-points test takes the moved
+    points from the permutation (`Permutation.moved`, found once per
+    permutation or given by the primitive that built it), so it reads no
+    other point; it adds each one's s_x ^ s_p(x) into the syndromes of the
+    rows that hold it, and p passes iff they all end at 0."""
     return _kernel(code.length, code.generator.bits)
 
 
@@ -146,7 +148,6 @@ def _kernel(n: int, g: int):
     else:
         table, combine, mask = syndromes, functools.partial(functools.reduce, xor), -1
     syndrome = table.__getitem__
-    points = range(n)
 
     def maps_into(images) -> bool:
         for row in rows:
@@ -154,10 +155,10 @@ def _kernel(n: int, g: int):
                 return False
         return True
 
-    def moved_maps_into(images) -> bool:
+    def moved_maps_into(images, moved) -> bool:
         # the syndrome of p(r_j) is the XOR of s_x ^ s_p(x) over the moved x in r_j
         acc = [0] * rank
-        for x in itertools.compress(points, map(ne, images, points)):
+        for x in moved:
             d = syndromes[x] ^ syndromes[images[x]]
             for j in holding[x]:
                 acc[j] ^= d

@@ -8,6 +8,7 @@ from hypothesis import event, given, settings, strategies as st
 import cycaut.group as group_module
 from cycaut.group import (
     PermGroup,
+    _class_moves,
     _generates_symmetric,
     _orbit,
     _residue_block_order,
@@ -193,9 +194,14 @@ def _spoiled(images, c, rng_pick):
     return tuple(images)
 
 
+def _wrapped(gens):
+    return [Permutation(g) for g in gens]
+
+
 class TestResidueVectors:
-    """`_residue_block_order` finds classes by list operations and drops
-    duplicate tops; it must give what the point-by-point reference gives."""
+    """`_residue_block_order` decides the classes from each generator's
+    moved points alone and drops duplicate tops; it must give what the
+    point-by-point reference gives."""
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -219,26 +225,50 @@ class TestResidueVectors:
         gens = data.draw(st.permutations(gens)) or [tuple(range(n))]
         want = _reference_residue_block_order(gens, n, c)
         event("order" if want is not None else "declined")
-        assert _residue_block_order(gens, n, c) == want
+        assert _residue_block_order(_wrapped(gens), n, c) == want
 
     def test_a_class_split_below_the_second_row_declines(self):
         # full Sym on all three classes of 4 points, and the transposition
         # of points 6 and 7, which keeps the classes of rows 0 and 1 only
         c, k = 3, 4
         gens = [p.images for j in range(c) for p in _symmetric_gens(c, j, k)]
-        assert _residue_block_order(gens, c * k, c)[0] == math.factorial(k) ** c
+        assert _residue_block_order(_wrapped(gens), c * k, c)[0] == math.factorial(k) ** c
         swap = _spoiled(tuple(range(c * k)), c, (0, 1))
         assert swap == (0, 1, 2, 3, 4, 5, 7, 6, 8, 9, 10, 11)
         assert _class_images(swap, c) is None
-        assert _residue_block_order([*gens, swap], c * k, c) is None
+        assert _residue_block_order(_wrapped([*gens, swap]), c * k, c) is None
 
     def test_duplicate_tops_give_the_same_order(self):
         c, k = 3, 2
         gens = [p.images for j in range(c) for p in _symmetric_gens(c, j, k)]
         top = _top([1, 2, 0], [0, 1], c, k).images
-        once = _residue_block_order([*gens, top], c * k, c)
+        once = _residue_block_order(_wrapped([*gens, top]), c * k, c)
         assert once[0] == 3 * 2**3
-        assert _residue_block_order([top, *gens, top, top], c * k, c) == once
+        assert _residue_block_order(_wrapped([top, *gens, top, top]), c * k, c) == once
+
+    def test_a_class_moved_whole_onto_another_is_accepted(self):
+        # g maps class 0 = {0, 3, 6} onto class 1 and class 1 onto class 0,
+        # so class 0 holds no fixed point, and moves 2 and 5 within class 2
+        c, k = 3, 3
+        g = (1, 3, 5, 4, 6, 2, 7, 0, 8)
+        assert _class_images(g, c) == (1, 0, 2)
+        assert _class_moves(Permutation(g), c) == {0: 1, 1: 0, 2: 2}
+        gens = [p.images for j in (0, 2) for p in _symmetric_gens(c, j, k)] + [g]
+        found = _residue_block_order(_wrapped(gens), c * k, c)
+        assert found == _reference_residue_block_order(gens, c * k, c)
+        assert found[1]["top_order"] == "2"
+        assert found[0] == 2 * math.factorial(k) ** c == PermGroup(_wrapped(gens), degree=c * k).order()
+
+    def test_a_class_moved_in_part_into_another_declines(self):
+        # (0,1)(3,4) sends two points of class 0 = {0, 3, 6} into class 1
+        # and fixes the third: its moved points alone agree on one class
+        c, k = 3, 3
+        g = (1, 0, 2, 4, 3, 5, 6, 7, 8)
+        assert _class_images(g, c) is None
+        assert _class_moves(Permutation(g), c) is None
+        gens = [p.images for j in range(c) for p in _symmetric_gens(c, j, k)]
+        assert _residue_block_order(_wrapped(gens), c * k, c) is not None
+        assert _residue_block_order(_wrapped([*gens, g]), c * k, c) is None
 
 
 class TestGeneratesSymmetric:

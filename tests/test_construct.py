@@ -130,34 +130,52 @@ def _assert_permutation(images, n):
     assert sorted(images) == list(range(n))
 
 
+def _assert_moved(p):
+    # is_automorphism reads only the points p.moved lists, so they must be
+    # exactly the moved points, in increasing order
+    assert p.moved == tuple(x for x, y in enumerate(p.images) if x != y)
+
+
 class TestOutputsArePermutations:
     """The constructions and products are wrapped without the
-    constructor's sort, so each must be a permutation by construction:
+    constructor's sort, so each must be a permutation by construction,
+    and the moved points it carries must be exactly its moved points:
     checked here on random valid parameters."""
 
     @given(st.integers(min_value=1, max_value=40), st.data())
     def test_shift_and_multiplier(self, n, data):
         _assert_permutation(shift(n).images, n)
+        _assert_moved(shift(n))
         a = data.draw(st.sampled_from([a for a in range(1, n + 1) if math.gcd(a, n) == 1]))
         _assert_permutation(multiplier(a, n).images, n)
+        _assert_moved(multiplier(a, n))
 
     @given(_perms, _small, st.data())
     def test_residue_lift_and_interleaved_lift(self, alpha, rows, data):
         at = data.draw(st.integers(min_value=1, max_value=rows))
-        _assert_permutation(residue_lift(alpha, at, rows).images, rows * alpha.degree)
+        lifted = residue_lift(alpha, at, rows)
+        _assert_permutation(lifted.images, rows * alpha.degree)
+        _assert_moved(lifted)
         row = data.draw(st.sampled_from([1, 2]))
-        _assert_permutation(interleaved_lift(alpha, row).images, 2 * alpha.degree)
+        interleaved = interleaved_lift(alpha, row)
+        _assert_permutation(interleaved.images, 2 * alpha.degree)
+        _assert_moved(interleaved)
 
     @given(_perms, _small)
     def test_row_permutation_and_lifted_column(self, beta, cols):
-        _assert_permutation(row_permutation(beta, cols).images, beta.degree * cols)
-        _assert_permutation(lifted_column_perm(beta, cols).images, beta.degree * cols)
-        _assert_permutation(pair_swap(cols).images, 2 * cols)
+        for p, n in [
+            (row_permutation(beta, cols), beta.degree * cols),
+            (lifted_column_perm(beta, cols), beta.degree * cols),
+            (pair_swap(cols), 2 * cols),
+        ]:
+            _assert_permutation(p.images, n)
+            _assert_moved(p)
 
     @given(st.integers(min_value=2, max_value=6), _small)
     def test_block_row_generators(self, k, m):
         for g in block_row_generators(k, m):
             _assert_permutation(g.images, k * m)
+            _assert_moved(g)
 
     @given(
         st.integers(min_value=1, max_value=9).flatmap(
@@ -167,9 +185,9 @@ class TestOutputsArePermutations:
     )
     def test_products_and_powers(self, pair, e):
         p, q = pair
-        _assert_permutation((p * q).images, p.degree)
-        _assert_permutation((p**e).images, p.degree)
-        _assert_permutation(Permutation.identity(p.degree).images, p.degree)
+        for r in (p * q, p**e, p.inverse(), Permutation.identity(p.degree)):
+            _assert_permutation(r.images, p.degree)
+            _assert_moved(r)
 
 
 class TestLiftedColumn:

@@ -179,13 +179,14 @@ def _agree(code, images):
     it agrees with the row test and with the reference on the code and
     on its dual."""
     n = code.length
+    moved = tuple(x for x, y in enumerate(images) if x != y)
     rows_test, moved_test = verify_module._automorphism_test(code)
-    got = moved_test(images)
+    got = moved_test(images, moved)
     assert got == rows_test(images), (n, str(code.generator), images)
     assert got == _maps_rows_into_code(code, Permutation(images)), (n, str(code.generator), images)
     dual = _dual(code)
     dual_rows, dual_moved = verify_module._automorphism_test(dual)
-    assert dual_moved(images) == dual_rows(images) == got
+    assert dual_moved(images, moved) == dual_rows(images) == got
     return got
 
 
@@ -263,9 +264,10 @@ class TestMovedPointsTest:
                 calls.append("rows")
                 return rows_test(images)
 
-            def moved(images):
-                calls.append([x for x, y in enumerate(images) if x != y])
-                return moved_test(images)
+            def moved(images, points):
+                assert list(points) == [x for x, y in enumerate(images) if x != y]
+                calls.append(list(points))
+                return moved_test(images, points)
 
             return rows, moved
 
