@@ -470,7 +470,8 @@ def block_order(generators, degree: int) -> tuple[int, dict] | None:
     degree, meets the conditions.  The details name the classes, their
     size and the order of the block action."""
     gens = list(generators)
-    _images(gens, degree)  # raises on mixed degrees
+    if any(g.degree != degree for g in gens):
+        raise ValueError("generators have mixed degrees")
     for c in range(degree - 1, 1, -1):  # small classes first: cheaper Sym checks
         if degree % c == 0:
             found = _residue_block_order(gens, degree, c)

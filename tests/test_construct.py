@@ -171,6 +171,14 @@ class TestOutputsArePermutations:
             _assert_permutation(p.images, n)
             _assert_moved(p)
 
+    @given(_perms, _small)
+    def test_the_two_layouts_carry_their_moved_points(self, alpha, m):
+        # the long constructions pass these to is_automorphism and the
+        # block test, which must not have to scan every point to find them
+        for p in (residue_lift(alpha, m, m), row_permutation(alpha, m)):
+            assert p._moved is not None
+            _assert_moved(p)
+
     @given(st.integers(min_value=2, max_value=6), _small)
     def test_block_row_generators(self, k, m):
         for g in block_row_generators(k, m):
